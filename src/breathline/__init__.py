@@ -53,7 +53,7 @@ from .evaluation import (
     test3_leave_one_speaker,
 )
 from .features import FeatureConfig, FeatureMatrix, extract_features, load_features, save_features
-from .manifest import ManifestEntry, fetch_manifest_sources, load_manifest, save_manifest
+from .manifest import ManifestEntry, load_manifest, save_manifest
 from .metrics import (
     EvalReport,
     PointMetrics,

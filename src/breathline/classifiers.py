@@ -11,13 +11,13 @@ scores are oriented so that higher means more real.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .breath_stats import BreathStats
+from .container import header_fields, read_container, write_container
 from .errors import ConfigError, FormatError, TrainingError, ValidationError
 
 STAT_FEATURES = ("avg_breaths_per_minute", "avg_breath_duration_ms", "avg_spacing_ms")
@@ -182,76 +182,29 @@ def svc_classify(model: SvcModel, stats: BreathStats) -> str:
     return "real" if svc_score(model, stats) > 0 else "fake"
 
 
+_SVC_ARRAYS = ("support_vectors", "dual_coef", "scaler_mean", "scaler_scale")
+_SVC_SCALARS = {"C": float, "gamma": float, "coef0": float, "degree": int, "bias": float,
+                "dual_objective": float, "kkt_gap": float}
+
+
 def save_svc(path, model: SvcModel) -> None:
-    tensors = {
-        "support_vectors": model.support_vectors,
-        "dual_coef": model.dual_coef,
-        "scaler_mean": model.scaler_mean,
-        "scaler_scale": model.scaler_scale,
-    }
-    index = []
-    payload = bytearray()
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-        index.append({"name": name, "shape": list(arr.shape), "offset": len(payload)})
-        payload.extend(arr.tobytes())
-    header = {
-        "version": SVC_VERSION,
-        "type": "svc",
-        "C": model.C,
-        "gamma": model.gamma,
-        "coef0": model.coef0,
-        "degree": model.degree,
-        "bias": model.bias,
-        "dual_objective": model.dual_objective,
-        "kkt_gap": model.kkt_gap,
-        "tensors": index,
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(SVC_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(bytes(payload))
+    """A BLSV container: the scalars in the header, the arrays as
+    little-endian float64."""
+    header = {"version": SVC_VERSION, "type": "svc"}
+    header.update({name: getattr(model, name) for name in _SVC_SCALARS})
+    write_container(path, SVC_MAGIC, header, {name: getattr(model, name) for name in _SVC_ARRAYS}, "<f8")
 
 
 def load_svc(path) -> SvcModel:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != SVC_MAGIC:
-        raise FormatError(f"{path}: not an SVC model file")
-    (header_len,) = struct.unpack("<I", raw[4:8])
-    try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: bad SVC header: {exc}") from exc
-    if header.get("version") != SVC_VERSION or header.get("type") != "svc":
+    header, arrays = read_container(path, SVC_MAGIC, SVC_VERSION, "<f8")
+    if header.get("type") != "svc":
         raise FormatError(f"{path}: unsupported SVC model header")
-    payload = raw[8 + header_len :]
-    arrays = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        chunk = payload[entry["offset"] : entry["offset"] + 8 * count]
-        if len(chunk) != 8 * count:
-            raise FormatError(f"{path}: tensor {entry['name']!r} payload is truncated")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-    try:
-        return SvcModel(
-            support_vectors=arrays["support_vectors"],
-            dual_coef=arrays["dual_coef"],
-            bias=header["bias"],
-            gamma=header["gamma"],
-            coef0=header["coef0"],
-            degree=header["degree"],
-            C=header["C"],
-            scaler_mean=arrays["scaler_mean"],
-            scaler_scale=arrays["scaler_scale"],
-            dual_objective=header.get("dual_objective", 0.0),
-            kkt_gap=header.get("kkt_gap", 0.0),
-        )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing SVC model field {exc}") from exc
+    if set(arrays) != set(_SVC_ARRAYS):
+        raise FormatError(f"{path}: SVC arrays must be {sorted(_SVC_ARRAYS)}, got {sorted(arrays)}")
+    sv, coef, mean, scale = (arrays[name] for name in _SVC_ARRAYS)
+    if sv.ndim != 2 or coef.shape != sv.shape[:1] or not mean.shape == scale.shape == sv.shape[1:]:
+        raise FormatError(f"{path}: inconsistent SVC array shapes")
+    return SvcModel(**arrays, **header_fields(path, header, _SVC_SCALARS))
 
 
 # --- decision tree ---

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -81,17 +82,19 @@ def _write_run_log(out_dir: str, argv) -> None:
         f.write("args: " + " ".join(argv) + "\n")
 
 
+def _pick(args, file_cfg: dict, name: str, default):
+    """An explicit flag wins, then the config file's value, then `default`."""
+    value = getattr(args, name, None)
+    if value is not None:
+        return value
+    return file_cfg.get(name, default)
+
+
 def _configs_from_args(args) -> tuple[dict, FeatureConfig, TrainConfig, dict]:
     """Merge the optional key-value config file with CLI flags; explicit
     flags win, then file values, then library defaults."""
     file_cfg = parse_experiment_config(args.config) if getattr(args, "config", None) else {}
-
-    def pick(name, default):
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        return file_cfg.get(name, default)
-
+    pick = functools.partial(_pick, args, file_cfg)
     feature = FeatureConfig(
         window_ms=pick("window_ms", 20.0), hop_ms=pick("hop_ms", 2.5), n_mels=pick("n_mels", 128)
     )
@@ -111,16 +114,10 @@ def _configs_from_args(args) -> tuple[dict, FeatureConfig, TrainConfig, dict]:
 
 
 def _detection_config(args, feature: FeatureConfig, frames_per_step: int, file_cfg: dict) -> DetectionConfig:
-    def pick(name, default):
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        return file_cfg.get(name, default)
-
     return DetectionConfig(
-        binarize_threshold=pick("threshold", 0.5),
+        binarize_threshold=_pick(args, file_cfg, "threshold", 0.5),
         step_ms=feature.hop_ms * frames_per_step,
-        min_breath_ms=pick("min_breath_ms", 150.0),
+        min_breath_ms=_pick(args, file_cfg, "min_breath_ms", 150.0),
     )
 
 

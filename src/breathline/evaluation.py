@@ -64,8 +64,8 @@ class Corpus:
     def __post_init__(self):
         if self.kind not in CORPUS_KINDS:
             raise ConfigError(f"corpus kind must be one of {CORPUS_KINDS}, got {self.kind!r}")
-        ids = [item.id for item in self.items]
-        if len(set(ids)) != len(ids):
+        self._by_id = {item.id: item for item in self.items}
+        if len(self._by_id) != len(self.items):
             raise ValidationError("corpus items must have unique ids")
         for item in self.items:
             if self.kind == "podcast" and item.speaker_id is None:
@@ -80,10 +80,10 @@ class Corpus:
         return len(self.items)
 
     def item(self, item_id: str) -> CorpusItem:
-        for candidate in self.items:
-            if candidate.id == item_id:
-                return candidate
-        raise InputError(f"no corpus item with id {item_id!r}")
+        try:
+            return self._by_id[item_id]
+        except KeyError:
+            raise InputError(f"no corpus item with id {item_id!r}") from None
 
     def digest(self) -> str:
         payload = [(i.id, i.label, i.speaker_id, i.outlet) for i in self.items]

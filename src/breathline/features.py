@@ -8,17 +8,16 @@ math runs in float64; the stored matrix is float32.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import AudioBuffer
+from .container import header_fields, read_container, write_container
 from .errors import ConfigError, FormatError
 
 FEATURES_MAGIC = b"BLFT"
-FEATURES_VERSION = 1
+FEATURES_VERSION = 2
 
 # dB floors: -100 dB for both the mel power spectrogram and the RMSE track
 POWER_EPS = 1e-10
@@ -167,55 +166,30 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig = FeatureConfig(
     return FeatureMatrix(data.astype(np.float32), config, buffer.sample_rate)
 
 
+_HEADER_FIELDS = {"window_ms": float, "hop_ms": float, "n_mels": int, "sample_rate": int}
+
+
 def save_features(path, matrix: FeatureMatrix) -> None:
-    """Container layout: magic, uint32 header length, JSON header,
-    row-major little-endian float32 payload."""
+    """A BLFT container: the feature config and sample rate in the
+    header, the matrix as one row-major little-endian float32 `data`
+    tensor."""
     header = {
         "version": FEATURES_VERSION,
-        "num_frames": matrix.num_frames,
-        "dim": matrix.dim,
         "window_ms": matrix.config.window_ms,
         "hop_ms": matrix.config.hop_ms,
         "n_mels": matrix.config.n_mels,
         "sample_rate": matrix.sample_rate,
-        "dtype": "float32",
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(FEATURES_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(matrix.data.astype("<f4").tobytes())
+    write_container(path, FEATURES_MAGIC, header, {"data": matrix.data}, "<f4")
 
 
 def load_features(path) -> FeatureMatrix:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != FEATURES_MAGIC:
-        raise FormatError(f"{path}: not a feature container")
-    if len(raw) < 8:
-        raise FormatError(f"{path}: truncated feature container")
-    (header_len,) = struct.unpack("<I", raw[4:8])
+    header, arrays = read_container(path, FEATURES_MAGIC, FEATURES_VERSION, "<f4")
+    if set(arrays) != {"data"}:
+        raise FormatError(f"{path}: a feature file holds one 'data' tensor, got {sorted(arrays)}")
+    fields = header_fields(path, header, _HEADER_FIELDS)
+    sample_rate = fields.pop("sample_rate")
     try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: bad feature header: {exc}") from exc
-    if header.get("version") != FEATURES_VERSION:
-        raise FormatError(f"{path}: unsupported feature container version {header.get('version')}")
-    num_frames, dim = header["num_frames"], header["dim"]
-    payload = raw[8 + header_len :]
-    expected = num_frames * dim * 4
-    if len(payload) != expected:
-        raise FormatError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(num_frames, dim)
-    config = FeatureConfig(header["window_ms"], header["hop_ms"], header["n_mels"])
-    return FeatureMatrix(data.copy(), config, header["sample_rate"])
-
-
-def export_features_csv(path, matrix: FeatureMatrix) -> None:
-    names = [f"mel_{i}" for i in range(matrix.config.n_mels)] + ["zcr", "rmse_db"]
-    with open(path, "w", newline="") as f:
-        f.write("frame," + ",".join(names) + "\n")
-        for t in range(matrix.num_frames):
-            row = ",".join(f"{v:.6g}" for v in matrix.data[t])
-            f.write(f"{t},{row}\n")
+        return FeatureMatrix(arrays["data"], FeatureConfig(**fields), sample_rate)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -2,20 +2,13 @@
 
 The corpora themselves are not redistributable, so a corpus is described
 by a CSV manifest (`id,source,label,speaker_id,outlet,duration_ms,
-annotation_path`) whose sources are local paths or URLs. A small fetch
-client downloads URL sources and records per-entry outcomes without
-failing the batch.
+annotation_path`) whose sources are local paths.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from .errors import ValidationError
@@ -43,10 +36,6 @@ class ManifestEntry:
             raise ValidationError(f"entry {self.id!r}: outlet/show must be non-empty")
         if self.duration_ms is not None and self.duration_ms < 0:
             raise ValidationError(f"entry {self.id!r}: negative duration_ms")
-
-    @property
-    def is_url(self) -> bool:
-        return self.source.startswith(("http://", "https://"))
 
 
 def load_manifest(path) -> list[ManifestEntry]:
@@ -98,37 +87,3 @@ def save_manifest(path, entries: list[ManifestEntry]) -> None:
                     e.annotation_path or "",
                 ]
             )
-
-
-def fetch_manifest_sources(entries: list[ManifestEntry], dest_dir, timeout: float = 30.0) -> list[dict]:
-    """Download every URL-sourced entry into dest_dir.
-
-    Returns one report record per URL entry: {id, url, status, sha256,
-    bytes}, with status 'ok' or 'failed(<reason>)'. Individual failures
-    never abort the batch.
-    """
-    dest = Path(dest_dir)
-    dest.mkdir(parents=True, exist_ok=True)
-    report = []
-    for entry in entries:
-        if not entry.is_url:
-            continue
-        record = {"id": entry.id, "url": entry.source, "status": "ok", "sha256": None, "bytes": 0}
-        try:
-            with urllib.request.urlopen(entry.source, timeout=timeout) as resp:
-                payload = resp.read()
-            (dest / f"{entry.id}.bin").write_bytes(payload)
-            record["sha256"] = hashlib.sha256(payload).hexdigest()
-            record["bytes"] = len(payload)
-        except urllib.error.HTTPError as exc:
-            record["status"] = f"failed({exc.code})"
-        except Exception as exc:  # network/socket errors recorded per entry
-            record["status"] = f"failed({exc.__class__.__name__}: {exc})"
-        report.append(record)
-    return report
-
-
-def save_fetch_report(path, report: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -9,12 +9,11 @@ pooled 800 -> 200 -> 40, so the model emits one breath probability per
 from __future__ import annotations
 
 import dataclasses
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..container import header_fields, read_container, write_container
 from ..errors import ConfigError, FormatError, ShapeError
 from .layers import BatchNorm1D, Conv1D, Dropout, MaxPool1D, ReLU, Sigmoid, TimeDense
 from .recurrent import BiLSTM
@@ -43,8 +42,10 @@ class ModelConfig:
             raise ConfigError("conv_filters, conv_kernels and pool_strides must have equal length")
         if len(self.conv_filters) == 0:
             raise ConfigError("at least one conv block is required")
-        if self.input_dim < 1 or self.lstm_units < 1:
-            raise ConfigError("input_dim and lstm_units must be positive")
+        if min(self.input_dim, self.lstm_units, self.chunk_frames, *self.pool_strides) < 1:
+            raise ConfigError("input_dim, lstm_units, chunk_frames and pool_strides must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.chunk_frames % self.frames_per_step != 0:
             raise ConfigError(
                 f"chunk_frames={self.chunk_frames} must be divisible by the "
@@ -164,67 +165,32 @@ class BreathDetectorModel:
 
 
 def save_model(path, model: BreathDetectorModel) -> None:
-    """Layout: magic, uint32 header length, JSON header with the config
-    and a tensor index, then the tensors as little-endian float64 so the
-    round trip is bit-exact."""
-    tensors = dict(model.parameters())
-    tensors.update(model.buffers())
-    index = []
-    offset = 0
-    payload = bytearray()
-    for name in sorted(tensors):
-        arr = tensors[name]
-        index.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        payload.extend(raw)
-        offset += len(raw)
-    header = {
-        "version": MODEL_VERSION,
-        "config": dataclasses.asdict(model.config),
-        "tensors": index,
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(bytes(payload))
+    """A BLNN container: the config in the header, then the parameters
+    and buffers as little-endian float64 so the round trip is bit-exact."""
+    tensors = {**model.parameters(), **model.buffers()}
+    header = {"version": MODEL_VERSION, "config": dataclasses.asdict(model.config)}
+    write_container(path, MODEL_MAGIC, header, tensors, "<f8")
 
 
 def load_model(path) -> BreathDetectorModel:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != MODEL_MAGIC:
-        raise FormatError(f"{path}: not a model file")
-    (header_len,) = struct.unpack("<I", raw[4:8])
+    header, arrays = read_container(path, MODEL_MAGIC, MODEL_VERSION, "<f8")
+    fields = {f.name: type(f.default) for f in dataclasses.fields(ModelConfig)}
+    cfg = header.get("config")
+    if not isinstance(cfg, dict) or set(cfg) != set(fields):
+        raise FormatError(f"{path}: model config must be an object with the fields {sorted(fields)}")
     try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: bad model header: {exc}") from exc
-    if header.get("version") != MODEL_VERSION:
-        raise FormatError(f"{path}: unsupported model version {header.get('version')}")
-    cfg = dict(header["config"])
-    for key in ("conv_filters", "conv_kernels", "pool_strides"):
-        cfg[key] = tuple(cfg[key])
-    model = BreathDetectorModel(ModelConfig(**cfg))
-    targets = dict(model.parameters())
-    targets.update(model.buffers())
-    payload = raw[8 + header_len :]
-    seen = set()
-    for entry in header["tensors"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-        if name not in targets:
-            raise FormatError(f"{path}: unknown tensor {name!r}")
-        target = targets[name]
-        if shape != target.shape:
-            raise FormatError(f"{path}: tensor {name!r} has shape {shape}, expected {target.shape}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        chunk = payload[offset : offset + 8 * count]
-        if len(chunk) != 8 * count:
-            raise FormatError(f"{path}: tensor {name!r} payload is truncated")
-        target[...] = np.frombuffer(chunk, dtype="<f8").reshape(shape)
-        seen.add(name)
-    missing = set(targets) - seen
+        model = BreathDetectorModel(ModelConfig(**header_fields(path, cfg, fields)))
+    except ConfigError as exc:
+        raise FormatError(f"{path}: bad model config: {exc}") from exc
+    targets = {**model.parameters(), **model.buffers()}
+    unknown = sorted(set(arrays) - set(targets))
+    if unknown:
+        raise FormatError(f"{path}: unknown tensor {unknown[0]!r}")
+    missing = sorted(set(targets) - set(arrays))
     if missing:
-        raise FormatError(f"{path}: missing tensors: {sorted(missing)}")
+        raise FormatError(f"{path}: missing tensors: {missing}")
+    for name, target in targets.items():
+        if arrays[name].shape != target.shape:
+            raise FormatError(f"{path}: tensor {name!r} has shape {arrays[name].shape}, expected {target.shape}")
+        target[...] = arrays[name]
     return model

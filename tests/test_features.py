@@ -8,7 +8,6 @@ from breathline.audio_io import AudioBuffer
 from breathline.errors import ConfigError, FormatError
 from breathline.features import (
     FeatureConfig,
-    export_features_csv,
     extract_features,
     hz_to_mel,
     load_features,
@@ -168,19 +167,6 @@ def test_container_roundtrip(tmp_path):
     trunc.write_bytes(raw[:-16])
     with pytest.raises(FormatError):
         load_features(trunc)
-
-
-def test_csv_export(tmp_path):
-    fm = extract_features(AudioBuffer(np.zeros(4000), SR))
-    path = tmp_path / "f.csv"
-    export_features_csv(path, fm)
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    assert header[0] == "frame" and header[1] == "mel_0" and header[-2:] == ["zcr", "rmse_db"]
-    assert len(lines) - 1 == fm.num_frames
-    first = lines[1].split(",")
-    assert len(first) == 131 and first[0] == "0"
-    assert float(first[1]) == -100.0
 
 
 def test_fractional_hop_rejected():

@@ -1,19 +1,9 @@
-"""Manifest CSV parsing, validation, and the URL fetch client."""
-
-import http.server
-import json
-import threading
+"""Manifest CSV parsing and validation."""
 
 import pytest
 
 from breathline.errors import ValidationError
-from breathline.manifest import (
-    ManifestEntry,
-    fetch_manifest_sources,
-    load_manifest,
-    save_fetch_report,
-    save_manifest,
-)
+from breathline.manifest import ManifestEntry, load_manifest, save_manifest
 
 
 def _entries():
@@ -30,7 +20,6 @@ def test_save_load_roundtrip(tmp_path):
     loaded = load_manifest(path)
     assert loaded == _entries()
     assert loaded[1].duration_ms is None and loaded[1].speaker_id is None
-    assert loaded[2].is_url and not loaded[0].is_url
 
 
 def test_header_must_match(tmp_path):
@@ -67,61 +56,3 @@ def test_entry_validation():
         ManifestEntry(id="a", source="a.wav", label="real", outlet="")
     with pytest.raises(ValidationError):
         ManifestEntry(id="a", source="a.wav", label="real", outlet="x", duration_ms=-1.0)
-
-
-class _Handler(http.server.BaseHTTPRequestHandler):
-    payload = b"RIFFfake-bytes"
-
-    def do_GET(self):
-        if self.path.endswith("missing.wav"):
-            self.send_error(404)
-            return
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(self.payload)))
-        self.end_headers()
-        self.wfile.write(self.payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def http_root():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-
-
-def test_fetch_downloads_and_reports(tmp_path, http_root):
-    import hashlib
-
-    entries = [
-        ManifestEntry(id="ok", source=f"{http_root}/good.wav", label="real", outlet="show1"),
-        ManifestEntry(id="gone", source=f"{http_root}/missing.wav", label="real", outlet="show1"),
-        ManifestEntry(id="local", source="x.wav", label="real", outlet="show1"),
-    ]
-    report = fetch_manifest_sources(entries, tmp_path / "dl")
-    # local-path entries produce no record; failures do not abort the batch
-    assert [r["id"] for r in report] == ["ok", "gone"]
-    ok, gone = report
-    assert ok["status"] == "ok"
-    assert ok["bytes"] == len(_Handler.payload)
-    assert ok["sha256"] == hashlib.sha256(_Handler.payload).hexdigest()
-    assert (tmp_path / "dl" / "ok.bin").read_bytes() == _Handler.payload
-    assert gone["status"] == "failed(404)"
-    assert not (tmp_path / "dl" / "gone.bin").exists()
-
-
-def test_fetch_no_urls_is_empty(tmp_path):
-    entries = [ManifestEntry(id="a", source="a.wav", label="real", outlet="x")]
-    assert fetch_manifest_sources(entries, tmp_path) == []
-
-
-def test_fetch_report_roundtrip(tmp_path):
-    report = [{"id": "a", "url": "http://x/y", "status": "ok", "sha256": "00", "bytes": 2}]
-    path = tmp_path / "fetch.json"
-    save_fetch_report(path, report)
-    with open(path) as fh:
-        assert json.load(fh) == report
