@@ -5,6 +5,10 @@ fits the framewise detector, `detect` runs detection plus statistics
 over a manifest, and `evaluate` drives the generalizability tests and
 the end-to-end pipeline evaluation.
 
+A setting (a key of `evaluation._EXPERIMENT_KEYS`) comes from its flag,
+else from the `--config` file, else from the default of the library
+object that takes it.
+
 Every command records {tool_version, config_digest, seed} in a
 meta.json next to its outputs; re-running with identical inputs
 reproduces every artifact byte for byte. Wall-clock timestamps go only
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import logging
 import os
@@ -34,6 +37,8 @@ from .breath_stats import compute_stats, save_stats_csv
 from .classifiers import save_svc, save_tree
 from .errors import BreathlineError, ConfigError
 from .evaluation import (
+    _EXPERIMENT_KEYS,
+    CLASSIFIER_KINDS,
     digest_config,
     load_frame_corpus,
     load_sample_corpus,
@@ -53,6 +58,20 @@ from .postprocess import DetectionConfig, detect_breaths
 from .synth import REAL_BPM_RANGE, SynthesisConfig, synthesize_corpus
 
 log = logging.getLogger("breathline")
+
+# the settings each subcommand takes, besides the seed
+_FEATURE_SETTINGS = ("window_ms", "hop_ms", "n_mels")
+_TRAIN_SETTINGS = ("epochs", "batch_size", "learning_rate", "lstm_units")
+_DETECT_SETTINGS = ("threshold", "min_breath_ms")
+
+_FRAME_TESTS = {
+    "test1": test1_contiguous_kfold,
+    "test2": test2_leave_one_podcast,
+    "test3": test3_leave_one_speaker,
+}
+_CHOICES = {"experiment": (*_FRAME_TESTS, "pipeline"), "classifier": CLASSIFIER_KINDS}
+# settings whose config field is named differently
+_FIELD_NAMES = {"threshold": "binarize_threshold"}
 
 
 def _setup_logging() -> None:
@@ -82,43 +101,45 @@ def _write_run_log(out_dir: str, argv) -> None:
         f.write("args: " + " ".join(argv) + "\n")
 
 
-def _pick(args, file_cfg: dict, name: str, default):
-    """An explicit flag wins, then the config file's value, then `default`."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return file_cfg.get(name, default)
+def _add_flags(parser: argparse.ArgumentParser, *settings: str) -> None:
+    """`--out`, then one flag per setting named in the settings table
+    (`--seed` always), typed by that table. An absent flag is None, so a
+    subcommand with settings beyond the seed also takes `--config`."""
+    parser.add_argument("--out", required=True, help="output directory")
+    for name in ("seed", *settings):
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, dest=name, type=_EXPERIMENT_KEYS[name], choices=_CHOICES.get(name))
+    if settings:
+        parser.add_argument("--config", help="key = value settings file; a key applies when its flag is absent")
 
 
-def _configs_from_args(args) -> tuple[dict, FeatureConfig, TrainConfig, dict]:
-    """Merge the optional key-value config file with CLI flags; explicit
-    flags win, then file values, then library defaults."""
-    file_cfg = parse_experiment_config(args.config) if getattr(args, "config", None) else {}
-    pick = functools.partial(_pick, args, file_cfg)
-    feature = FeatureConfig(
-        window_ms=pick("window_ms", 20.0), hop_ms=pick("hop_ms", 2.5), n_mels=pick("n_mels", 128)
-    )
-    train_cfg = TrainConfig(
-        epochs=pick("epochs", 30),
-        batch_size=pick("batch_size", 32),
-        learning_rate=pick("learning_rate", 1e-3),
-        seed=args.seed,
-    )
-    model_kwargs = dict(
-        input_dim=feature.dim,
-        lstm_units=pick("lstm_units", 32),
-        chunk_frames=pick("chunk_frames", 800),
-        seed=args.seed,
-    )
-    return file_cfg, feature, train_cfg, model_kwargs
+def _settings(args) -> dict:
+    """The settings that are present: each flag, else the config file's value."""
+    settings = parse_experiment_config(args.config) if args.config else {}
+    for name in _EXPERIMENT_KEYS:
+        value = getattr(args, name, None)
+        if value is not None:
+            settings[name] = value
+    for name, allowed in _CHOICES.items():
+        if name in settings and settings[name] not in allowed:
+            raise ConfigError(f"{name} must be one of {allowed}, got {settings[name]!r}")
+    return settings
 
 
-def _detection_config(args, feature: FeatureConfig, frames_per_step: int, file_cfg: dict) -> DetectionConfig:
-    return DetectionConfig(
-        binarize_threshold=_pick(args, file_cfg, "threshold", 0.5),
-        step_ms=feature.hop_ms * frames_per_step,
-        min_breath_ms=_pick(args, file_cfg, "min_breath_ms", 150.0),
-    )
+def _present(settings: dict, *names: str) -> dict:
+    return {name: settings[name] for name in names if name in settings}
+
+
+def _config(cls, settings: dict, **fixed):
+    """`cls` built from `fixed` and the present settings that name one of
+    its fields; an absent setting keeps the field's default."""
+    renamed = {_FIELD_NAMES.get(name, name): value for name, value in settings.items()}
+    return cls(**_present(renamed, *(f.name for f in dataclasses.fields(cls))), **fixed)
+
+
+def _detector_configs(settings: dict) -> tuple[FeatureConfig, TrainConfig, ModelConfig]:
+    feature = _config(FeatureConfig, settings)
+    return feature, _config(TrainConfig, settings), _config(ModelConfig, settings, input_dim=feature.dim)
 
 
 def cmd_synth(args) -> int:
@@ -167,9 +188,9 @@ def cmd_synth(args) -> int:
 
 def cmd_train_breath(args) -> int:
     out = _ensure_out(args)
-    _, feature, train_cfg, model_kwargs = _configs_from_args(args)
+    feature, train_cfg, model_config = _detector_configs(_settings(args))
     corpus = load_frame_corpus(args.manifest, feature)
-    model = BreathDetectorModel(ModelConfig(**model_kwargs))
+    model = BreathDetectorModel(model_config)
     history = train(model, [(item.features, item.frame_labels) for item in corpus], train_cfg)
     for epoch, loss in enumerate(history, start=1):
         log.info("epoch %d: loss %.6f", epoch, loss)
@@ -184,16 +205,19 @@ def cmd_train_breath(args) -> int:
     with open(os.path.join(out, "training_report.json"), "w") as f:
         json.dump(report, f, sort_keys=True, indent=2)
         f.write("\n")
-    _write_meta(out, args.seed, {"command": "train-breath", "report": report})
+    _write_meta(out, train_cfg.seed, {"command": "train-breath", "report": report})
     _write_run_log(out, sys.argv[1:])
     return 0
 
 
 def cmd_detect(args) -> int:
     out = _ensure_out(args)
-    file_cfg, feature, _, _ = _configs_from_args(args)
+    settings = _settings(args)
+    if args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
+    feature = _config(FeatureConfig, settings)
     model = load_model(args.model)
-    detection = _detection_config(args, feature, model.config.frames_per_step, file_cfg)
+    detection = _config(DetectionConfig, settings, step_ms=feature.hop_ms * model.config.frames_per_step)
     entries = load_manifest(args.manifest)
     base = os.path.dirname(os.fspath(args.manifest))
     intervals_dir = os.path.join(out, "intervals")
@@ -228,7 +252,8 @@ def cmd_detect(args) -> int:
     with open(os.path.join(out, "detect_report.json"), "w") as f:
         json.dump(report, f, sort_keys=True, indent=2)
         f.write("\n")
-    _write_meta(out, args.seed, {"command": "detect", "report": report})
+    # detect draws no random numbers; meta.json records the seed setting all the same
+    _write_meta(out, settings.get("seed", TrainConfig.seed), {"command": "detect", "report": report})
     _write_run_log(out, sys.argv[1:])
     if not results:
         log.error("all %d files failed", len(entries))
@@ -236,18 +261,12 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _evaluate_frames(args, out: str) -> int:
-    _, feature, train_cfg, model_kwargs = _configs_from_args(args)
+def _evaluate_frames(args, settings: dict, out: str) -> int:
+    experiment = settings["experiment"]
+    feature, train_cfg, model_config = _detector_configs(settings)
     corpus = load_frame_corpus(args.manifest, feature)
-    model_config = ModelConfig(**model_kwargs)
-    runners = {
-        "test1": lambda: test1_contiguous_kfold(
-            corpus, model_config, train_cfg, iterations=args.iterations, seed=args.seed
-        ),
-        "test2": lambda: test2_leave_one_podcast(corpus, model_config, train_cfg, seed=args.seed),
-        "test3": lambda: test3_leave_one_speaker(corpus, model_config, train_cfg, seed=args.seed),
-    }
-    result = runners[args.experiment]()
+    names = ("iterations", "seed") if experiment == "test1" else ("seed",)
+    result = _FRAME_TESTS[experiment](corpus, model_config, train_cfg, **_present(settings, *names))
     doc = result.to_dict()
     with open(os.path.join(out, f"experiment_{result.experiment}.json"), "w") as f:
         json.dump(doc, f, sort_keys=True, indent=2)
@@ -256,30 +275,32 @@ def _evaluate_frames(args, out: str) -> int:
         os.path.join(out, f"experiment_{result.experiment}.svg"),
         render_box_plot([(result.experiment, result.values)], "Held-out breath AUPRC", "AUPRC"),
     )
-    _write_meta(out, args.seed, {"command": "evaluate", "result": doc})
+    _write_meta(out, result.seed, {"command": "evaluate", "result": doc})
     log.info("%s: mean AUPRC %.4f (std %.4f)", result.experiment, result.mean, result.std)
     return 0
 
 
-def _evaluate_pipeline(args, out: str) -> int:
-    file_cfg, feature, train_cfg, model_kwargs = _configs_from_args(args)
+def _evaluate_pipeline(args, settings: dict, out: str) -> int:
+    feature = _config(FeatureConfig, settings)
+    classifier = settings.get("classifier", "svc")  # the library has no default classifier
     corpus = load_sample_corpus(args.manifest)
     if args.model:
         detector = load_model(args.model)
     elif args.podcast_manifest:
+        _, train_cfg, model_config = _detector_configs(settings)
+        detector = BreathDetectorModel(model_config)
         podcast_corpus = load_frame_corpus(args.podcast_manifest, feature)
-        detector = BreathDetectorModel(ModelConfig(**model_kwargs))
         train(detector, [(i.features, i.frame_labels) for i in podcast_corpus], train_cfg)
         save_model(os.path.join(out, "detector.bin"), detector)
     else:
         raise ConfigError("pipeline evaluation needs --model or --podcast-manifest")
-    detection = _detection_config(args, feature, detector.config.frames_per_step, file_cfg)
-    split = outlet_disjoint_split(corpus, seed=args.seed)
+    detection = _config(DetectionConfig, settings, step_ms=feature.hop_ms * detector.config.frames_per_step)
+    split = outlet_disjoint_split(corpus, **_present(settings, "seed"))
     classifier_kwargs = {}
-    if args.classifier == "svc" and args.svc_coef0 is not None:
+    if classifier == "svc" and args.svc_coef0 is not None:
         classifier_kwargs["coef0"] = args.svc_coef0
     result = run_pipeline_eval(
-        corpus, split, args.classifier, detector, feature, detection, classifier_kwargs=classifier_kwargs
+        corpus, split, classifier, detector, feature, detection, classifier_kwargs=classifier_kwargs
     )
     save_report(os.path.join(out, "report.json"), result.report)
     if result.scored is not None:
@@ -292,14 +313,14 @@ def _evaluate_pipeline(args, out: str) -> int:
         os.path.join(out, "stats_scatter.svg"),
         render_scatter(points, "Breath statistics by class", "breaths per minute", "avg breath duration (ms)"),
     )
-    if args.classifier == "svc" and result.classifier_model is not None:
+    if classifier == "svc" and result.classifier_model is not None:
         save_svc(os.path.join(out, "classifier_svc.bin"), result.classifier_model)
-    elif args.classifier == "tree" and result.classifier_model is not None:
+    elif classifier == "tree" and result.classifier_model is not None:
         save_tree(os.path.join(out, "classifier_tree.json"), result.classifier_model)
-    _write_meta(out, args.seed, {"command": "evaluate", "report": result.report.to_dict()})
+    _write_meta(out, split.rng_seed, {"command": "evaluate", "report": result.report.to_dict()})
     log.info(
         "pipeline/%s: accuracy %.4f auprc %s eer %s",
-        args.classifier,
+        classifier,
         result.report.point.accuracy,
         result.report.auprc,
         result.report.eer,
@@ -309,24 +330,15 @@ def _evaluate_pipeline(args, out: str) -> int:
 
 def cmd_evaluate(args) -> int:
     out = _ensure_out(args)
-    if args.experiment == "pipeline":
-        code = _evaluate_pipeline(args, out)
+    settings = _settings(args)
+    if "experiment" not in settings:
+        raise ConfigError("evaluate needs --experiment or an 'experiment' key in --config")
+    if settings["experiment"] == "pipeline":
+        code = _evaluate_pipeline(args, settings, out)
     else:
-        code = _evaluate_frames(args, out)
+        code = _evaluate_frames(args, settings, out)
     _write_run_log(out, sys.argv[1:])
     return code
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window-ms", dest="window_ms", type=float, default=None)
-    parser.add_argument("--hop-ms", dest="hop_ms", type=float, default=None)
-    parser.add_argument("--n-mels", dest="n_mels", type=int, default=None)
-    parser.add_argument("--config", default=None, help="key = value experiment config file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="render a synthetic labeled corpus")
-    _add_common(p)
+    _add_flags(p)
     p.add_argument("--real", type=int, default=20, help="number of breath-bearing files")
     p.add_argument("--fake", type=int, default=20, help="number of breath-free files")
     p.add_argument("--duration-ms", dest="duration_ms", type=float, default=30000.0)
@@ -344,44 +356,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speakers", type=int, default=4)
     p.add_argument("--real-outlets", dest="real_outlets", type=int, default=2)
     p.add_argument("--fake-outlets", dest="fake_outlets", type=int, default=2)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, seed=0)
 
     p = sub.add_parser("train-breath", help="train the framewise breath detector")
-    _add_common(p)
+    _add_flags(p, *_FEATURE_SETTINGS, *_TRAIN_SETTINGS)
     p.add_argument("--manifest", required=True)
-    _add_feature_flags(p)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--lstm-units", dest="lstm_units", type=int, default=None)
     p.set_defaults(func=cmd_train_breath)
 
     p = sub.add_parser("detect", help="detect breaths and compute statistics over a manifest")
-    _add_common(p)
+    _add_flags(p, *_FEATURE_SETTINGS, *_DETECT_SETTINGS)
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True, help="trained detector model file")
-    _add_feature_flags(p)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--min-breath-ms", dest="min_breath_ms", type=float, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("evaluate", help="run generalizability tests or the pipeline evaluation")
-    _add_common(p)
+    _add_flags(p, "experiment", "iterations", "classifier", *_FEATURE_SETTINGS, *_DETECT_SETTINGS, *_TRAIN_SETTINGS)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--experiment", required=True, choices=["test1", "test2", "test3", "pipeline"])
-    p.add_argument("--iterations", type=int, default=100, help="test1 iteration count")
-    p.add_argument("--classifier", choices=["threshold", "svc", "tree"], default="svc")
     p.add_argument("--svc-coef0", dest="svc_coef0", type=float, default=None, help="polynomial kernel coef0 override")
     p.add_argument("--model", default=None, help="pretrained detector for pipeline evaluation")
     p.add_argument("--podcast-manifest", dest="podcast_manifest", default=None)
-    _add_feature_flags(p)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--min-breath-ms", dest="min_breath_ms", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--lstm-units", dest="lstm_units", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     return parser

@@ -474,7 +474,8 @@ def load_sample_corpus(manifest_path, kind: str = "news") -> Corpus:
     return Corpus(items, kind, name=os.path.basename(os.fspath(manifest_path)))
 
 
-# experiment config files: `key = value` lines, '#' comments
+# the settings table: each CLI setting flag and config-file key with its type;
+# config files hold `key = value` lines and '#' comments
 _EXPERIMENT_KEYS = {
     "experiment": str,
     "iterations": int,

@@ -8,6 +8,7 @@ math runs in float64; the stored matrix is float32.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ class FeatureConfig:
     n_mels: int = 128
 
     def __post_init__(self):
-        if self.window_ms <= 0 or self.hop_ms <= 0:
-            raise ConfigError("window_ms and hop_ms must be positive")
+        if not (0 < self.window_ms < math.inf and 0 < self.hop_ms < math.inf):
+            raise ConfigError("window_ms and hop_ms must be positive and finite")
         if self.hop_ms > self.window_ms:
             raise ConfigError("hop_ms must not exceed window_ms")
         if self.n_mels < 1:

@@ -164,6 +164,27 @@ class BreathDetectorModel:
         return np.concatenate(outputs).reshape(-1)[:steps]
 
 
+def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter and buffer of BreathDetectorModel(config),
+    worked out without allocating them."""
+    shapes = {}
+    in_ch = config.input_dim
+    for i, (filters, kernel) in enumerate(zip(config.conv_filters, config.conv_kernels)):
+        shapes[f"conv{i}.w"] = (kernel, in_ch, filters)
+        shapes[f"conv{i}.b"] = (filters,)
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            shapes[f"bn{i}.{name}"] = (filters,)
+        in_ch = filters
+    units = config.lstm_units
+    for direction in ("fwd", "bwd"):
+        shapes[f"lstm.{direction}.wx"] = (in_ch, 4 * units)
+        shapes[f"lstm.{direction}.wh"] = (units, 4 * units)
+        shapes[f"lstm.{direction}.b"] = (4 * units,)
+    shapes["dense.w"] = (2 * units, 1)
+    shapes["dense.b"] = (1,)
+    return shapes
+
+
 def save_model(path, model: BreathDetectorModel) -> None:
     """A BLNN container: the config in the header, then the parameters
     and buffers as little-endian float64 so the round trip is bit-exact."""
@@ -179,18 +200,25 @@ def load_model(path) -> BreathDetectorModel:
     if not isinstance(cfg, dict) or set(cfg) != set(fields):
         raise FormatError(f"{path}: model config must be an object with the fields {sorted(fields)}")
     try:
-        model = BreathDetectorModel(ModelConfig(**header_fields(path, cfg, fields)))
+        config = ModelConfig(**header_fields(path, cfg, fields))
     except ConfigError as exc:
         raise FormatError(f"{path}: bad model config: {exc}") from exc
-    targets = {**model.parameters(), **model.buffers()}
-    unknown = sorted(set(arrays) - set(targets))
+    # shapes are checked before the model allocates anything, so a config
+    # that promises more weights than the file holds is rejected cheaply
+    shapes = _tensor_shapes(config)
+    unknown = sorted(set(arrays) - set(shapes))
     if unknown:
         raise FormatError(f"{path}: unknown tensor {unknown[0]!r}")
-    missing = sorted(set(targets) - set(arrays))
+    missing = sorted(set(shapes) - set(arrays))
     if missing:
         raise FormatError(f"{path}: missing tensors: {missing}")
-    for name, target in targets.items():
-        if arrays[name].shape != target.shape:
-            raise FormatError(f"{path}: tensor {name!r} has shape {arrays[name].shape}, expected {target.shape}")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise FormatError(f"{path}: tensor {name!r} has shape {arrays[name].shape}, expected {shape}")
+    try:
+        model = BreathDetectorModel(config)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: bad model config: {exc}") from exc
+    for name, target in {**model.parameters(), **model.buffers()}.items():
         target[...] = arrays[name]
     return model

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..annotations import steps_from_frames
-from ..errors import TrainingError
+from ..errors import ConfigError, TrainingError
 from .model import BreathDetectorModel
 from .optim import Adam
 
@@ -18,6 +19,14 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 def bce_loss(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:

@@ -8,6 +8,7 @@ breath was ever that short.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,10 @@ class DetectionConfig:
     def __post_init__(self):
         if not 0.0 < self.binarize_threshold < 1.0:
             raise ConfigError(f"binarize_threshold must be in (0, 1), got {self.binarize_threshold}")
-        if self.step_ms <= 0:
-            raise ConfigError("step_ms must be positive")
-        if self.min_breath_ms < 0:
-            raise ConfigError("min_breath_ms must be >= 0")
+        if not 0 < self.step_ms < math.inf:
+            raise ConfigError("step_ms must be positive and finite")
+        if not 0 <= self.min_breath_ms < math.inf:
+            raise ConfigError("min_breath_ms must be >= 0 and finite")
 
 
 def slices_to_intervals(probabilities: np.ndarray, config: DetectionConfig = DetectionConfig()) -> BreathIntervalSet:

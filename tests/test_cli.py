@@ -196,6 +196,76 @@ def test_unknown_experiment_is_a_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_config_file_matches_flags(tmp_path, podcast_dir):
+    common = ["evaluate", "--experiment", "test1", "--manifest", str(podcast_dir / "manifest.csv")]
+    config = tmp_path / "exp.cfg"
+    config.write_text("iterations = 2\nseed = 7\nepochs = 2\nlstm_units = 8\n")
+    by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+    assert main(common + ["--config", str(config), "--out", str(by_file)]) == 0
+    assert main(common + ["--iterations", "2", "--seed", "7", "--epochs", "2", "--lstm-units", "8",
+                          "--out", str(by_flags)]) == 0
+    assert _digests(by_file) == _digests(by_flags)
+    doc = json.loads((by_file / "experiment_test1.json").read_text())
+    assert len(doc["values"]) == 2 and doc["seed"] == 7
+
+
+def test_flags_win_over_config_file(tmp_path, podcast_dir):
+    config = tmp_path / "exp.cfg"
+    config.write_text("seed = 7\nepochs = 3\nlstm_units = 4\nchunk_frames = 400\n")
+    out = tmp_path / "train"
+    assert main(["train-breath", "--manifest", str(podcast_dir / "manifest.csv"), "--config", str(config),
+                 "--epochs", "1", "--lstm-units", "8", "--out", str(out)]) == 0
+    report = json.loads((out / "training_report.json").read_text())
+    assert report["train_config"]["epochs"] == 1 and len(report["loss_history"]) == 1
+    assert report["model_config"]["lstm_units"] == 8
+    # keys whose flag is absent still apply
+    assert report["train_config"]["seed"] == 7 and report["model_config"]["seed"] == 7
+    assert report["model_config"]["chunk_frames"] == 400
+    assert json.loads((out / "meta.json").read_text())["seed"] == 7
+
+
+def test_detect_takes_settings_from_config_file(tmp_path, podcast_dir, detector):
+    _, model_path = detector
+    config = tmp_path / "det.cfg"
+    config.write_text("threshold = 0.7\nmin_breath_ms = 200\nwindow_ms = 25\nseed = 3\n")
+    out = tmp_path / "det"
+    assert main(["detect", "--manifest", str(podcast_dir / "manifest.csv"), "--model", str(model_path),
+                 "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads((out / "detect_report.json").read_text())
+    assert report["detection_config"]["binarize_threshold"] == 0.7
+    assert report["detection_config"]["min_breath_ms"] == 200.0
+    assert report["feature_config"]["window_ms"] == 25.0
+    assert json.loads((out / "meta.json").read_text())["seed"] == 3
+
+
+def test_config_file_alone_picks_experiment_and_classifier(tmp_path, news_dir, detector):
+    _, model_path = detector
+    config = tmp_path / "exp.cfg"
+    config.write_text("experiment = pipeline\nclassifier = tree\n")
+    out = tmp_path / "pipe"
+    assert main(["evaluate", "--config", str(config), "--manifest", str(news_dir / "manifest.csv"),
+                 "--model", str(model_path), "--out", str(out)]) == 0
+    assert (out / "classifier_tree.json").exists()
+    assert not (out / "classifier_svc.bin").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train-breath", ["--batch-size", "0"]),
+    ("train-breath", ["--window-ms", "nan"]),
+    ("detect", ["--min-breath-ms", "nan"]),
+    ("detect", ["--workers", "0"]),
+    ("evaluate", []),
+], ids=["batch size 0", "window nan", "min breath nan", "workers 0", "no experiment"])
+def test_bad_setting_exits_2(tmp_path, podcast_dir, detector, capsys, command, extra):
+    _, model_path = detector
+    argv = [command, "--manifest", str(podcast_dir / "manifest.csv"), "--out", str(tmp_path / "out")]
+    if command == "detect":
+        argv += ["--model", str(model_path)]
+    assert main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def _install_console_script(name, bin_dir):
     """Write the wrapper an installer makes for `name` in [project.scripts]."""
     try:

@@ -157,8 +157,9 @@ def _set_config(**fields):
 @pytest.mark.parametrize("mutate", [
     None, _drop_config, lambda h: [h], _set_index("shape", [-1, -2]), _set_config(pool_strides=[0]),
     _set_config(lstm_units="2"), _set_config(dropout_rate=1.5), _set_config(extra=1),
+    _set_config(lstm_units=1_000_000),
 ], ids=["4-byte file", "no config", "list header", "negative shape", "zero stride",
-        "string size", "dropout 1.5", "extra config field"])
+        "string size", "dropout 1.5", "extra config field", "huge lstm"])
 def test_detect_reports_malformed_model(tmp_path, mutate):
     path = tmp_path / "m.bin"
     save_model(path, BreathDetectorModel(TINY))

@@ -172,3 +172,12 @@ def test_container_roundtrip(tmp_path):
 def test_fractional_hop_rejected():
     with pytest.raises(ConfigError, match="whole number of samples"):
         extract_features(AudioBuffer(np.zeros(44100), 44100))
+
+
+@pytest.mark.parametrize("fields", [
+    {"window_ms": float("nan")}, {"hop_ms": float("nan")},
+    {"window_ms": float("inf")}, {"window_ms": float("inf"), "hop_ms": float("inf")},
+])
+def test_non_finite_window_or_hop_rejected(fields):
+    with pytest.raises(ConfigError, match="finite"):
+        FeatureConfig(**fields)

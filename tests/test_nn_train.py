@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import central_difference, enum_auprc
 
-from breathline.errors import TrainingError
+from breathline.errors import ConfigError, TrainingError
 from breathline.nn.model import BreathDetectorModel, ModelConfig
 from breathline.nn.train import TrainConfig, bce_loss, make_training_chunks, train
 
@@ -102,3 +102,12 @@ def test_training_accepts_single_class_targets():
     items = [(rng.normal(size=(80, 6)), np.zeros(80, dtype=bool))]
     history = train(BreathDetectorModel(SMALL), items, TrainConfig(epochs=3, seed=0))
     assert len(history) == 3 and all(np.isfinite(history))
+
+
+@pytest.mark.parametrize("fields", [
+    {"epochs": 0}, {"batch_size": 0}, {"learning_rate": 0.0}, {"learning_rate": -1e-3},
+    {"learning_rate": float("nan")}, {"learning_rate": float("inf")}, {"seed": -1},
+])
+def test_train_config_rejects_bad_values(fields):
+    with pytest.raises(ConfigError):
+        TrainConfig(**fields)

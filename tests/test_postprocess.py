@@ -103,3 +103,12 @@ def test_detect_breaths_on_breathless_audio(detector):
     got = detect_breaths(model, buf)
     assert len(got) <= 3
     assert got.durations_ms().sum() <= 1000.0
+
+
+@pytest.mark.parametrize("fields", [
+    {"min_breath_ms": float("nan")}, {"min_breath_ms": float("inf")},
+    {"step_ms": float("nan")}, {"step_ms": float("inf")},
+])
+def test_non_finite_durations_rejected(fields):
+    with pytest.raises(ConfigError, match="finite"):
+        DetectionConfig(**fields)
