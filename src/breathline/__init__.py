@@ -52,7 +52,7 @@ from .evaluation import (
     test2_leave_one_podcast,
     test3_leave_one_speaker,
 )
-from .features import FeatureConfig, FeatureMatrix, extract_features, load_features, save_features
+from .features import FeatureConfig, FeatureMatrix, extract_features
 from .manifest import ManifestEntry, load_manifest, save_manifest
 from .metrics import (
     EvalReport,

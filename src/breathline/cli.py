@@ -49,7 +49,6 @@ from .evaluation import (
     test2_leave_one_podcast,
     test3_leave_one_speaker,
 )
-from .features import FeatureConfig
 from .manifest import load_manifest, save_manifest
 from .metrics import save_report, save_scores_csv
 from .nn import BreathDetectorModel, ModelConfig, TrainConfig, load_model, save_model, train
@@ -137,12 +136,22 @@ def _config(cls, settings: dict, **fixed):
     return cls(**_present(renamed, *(f.name for f in dataclasses.fields(cls))), **fixed)
 
 
-def _detector_configs(settings: dict) -> tuple[FeatureConfig, TrainConfig, ModelConfig]:
-    feature = _config(FeatureConfig, settings)
-    return feature, _config(TrainConfig, settings), _config(ModelConfig, settings, input_dim=feature.dim)
+def _detector_configs(settings: dict) -> tuple[TrainConfig, ModelConfig]:
+    return _config(TrainConfig, settings), _config(ModelConfig, settings)
+
+
+def _detection_config(settings: dict, detector: BreathDetectorModel) -> DetectionConfig:
+    """Detection at the detector's own step. A feature setting must be the
+    one the detector was trained with: any other value is a ConfigError."""
+    for name in _FEATURE_SETTINGS:
+        if name in settings and settings[name] != getattr(detector.config, name):
+            raise ConfigError(f"{name} = {settings[name]} differs from the detector's {getattr(detector.config, name)}")
+    return _config(DetectionConfig, settings, step_ms=detector.config.step_ms)
 
 
 def cmd_synth(args) -> int:
+    if min(args.speakers, args.real_outlets, args.fake_outlets) < 1:
+        raise ConfigError("--speakers, --real-outlets and --fake-outlets must be >= 1")
     out = _ensure_out(args)
     rng = np.random.default_rng(args.seed)
     speakers = [f"spk{k}" for k in range(args.speakers)]
@@ -188,8 +197,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train_breath(args) -> int:
     out = _ensure_out(args)
-    feature, train_cfg, model_config = _detector_configs(_settings(args))
-    corpus = load_frame_corpus(args.manifest, feature)
+    train_cfg, model_config = _detector_configs(_settings(args))
+    corpus = load_frame_corpus(args.manifest, model_config.features)
     model = BreathDetectorModel(model_config)
     history = train(model, [(item.features, item.frame_labels) for item in corpus], train_cfg)
     for epoch, loss in enumerate(history, start=1):
@@ -200,7 +209,6 @@ def cmd_train_breath(args) -> int:
         "num_files": len(corpus),
         "model_config": dataclasses.asdict(model.config),
         "train_config": dataclasses.asdict(train_cfg),
-        "feature_config": dataclasses.asdict(feature),
     }
     with open(os.path.join(out, "training_report.json"), "w") as f:
         json.dump(report, f, sort_keys=True, indent=2)
@@ -215,9 +223,8 @@ def cmd_detect(args) -> int:
     settings = _settings(args)
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
-    feature = _config(FeatureConfig, settings)
     model = load_model(args.model)
-    detection = _config(DetectionConfig, settings, step_ms=feature.hop_ms * model.config.frames_per_step)
+    detection = _detection_config(settings, model)
     entries = load_manifest(args.manifest)
     base = os.path.dirname(os.fspath(args.manifest))
     intervals_dir = os.path.join(out, "intervals")
@@ -227,7 +234,7 @@ def cmd_detect(args) -> int:
         audio = load_wav(os.path.join(base, entry.source))
         if audio.sample_rate != CANONICAL_RATE:
             audio = resample(audio, CANONICAL_RATE)
-        intervals = detect_breaths(model, audio, feature, detection)
+        intervals = detect_breaths(model, audio, detection)
         return entry, intervals, compute_stats(intervals, audio.duration_ms)
 
     results, errors = [], {}
@@ -247,7 +254,7 @@ def cmd_detect(args) -> int:
         "ok": [e.id for e, _, _ in results],
         "errors": dict(sorted(errors.items())),
         "detection_config": dataclasses.asdict(detection),
-        "feature_config": dataclasses.asdict(feature),
+        "feature_config": dataclasses.asdict(model.config.features),
     }
     with open(os.path.join(out, "detect_report.json"), "w") as f:
         json.dump(report, f, sort_keys=True, indent=2)
@@ -263,8 +270,8 @@ def cmd_detect(args) -> int:
 
 def _evaluate_frames(args, settings: dict, out: str) -> int:
     experiment = settings["experiment"]
-    feature, train_cfg, model_config = _detector_configs(settings)
-    corpus = load_frame_corpus(args.manifest, feature)
+    train_cfg, model_config = _detector_configs(settings)
+    corpus = load_frame_corpus(args.manifest, model_config.features)
     names = ("iterations", "seed") if experiment == "test1" else ("seed",)
     result = _FRAME_TESTS[experiment](corpus, model_config, train_cfg, **_present(settings, *names))
     doc = result.to_dict()
@@ -281,27 +288,24 @@ def _evaluate_frames(args, settings: dict, out: str) -> int:
 
 
 def _evaluate_pipeline(args, settings: dict, out: str) -> int:
-    feature = _config(FeatureConfig, settings)
     classifier = settings.get("classifier", "svc")  # the library has no default classifier
     corpus = load_sample_corpus(args.manifest)
     if args.model:
         detector = load_model(args.model)
     elif args.podcast_manifest:
-        _, train_cfg, model_config = _detector_configs(settings)
+        train_cfg, model_config = _detector_configs(settings)
         detector = BreathDetectorModel(model_config)
-        podcast_corpus = load_frame_corpus(args.podcast_manifest, feature)
+        podcast_corpus = load_frame_corpus(args.podcast_manifest, model_config.features)
         train(detector, [(i.features, i.frame_labels) for i in podcast_corpus], train_cfg)
         save_model(os.path.join(out, "detector.bin"), detector)
     else:
         raise ConfigError("pipeline evaluation needs --model or --podcast-manifest")
-    detection = _config(DetectionConfig, settings, step_ms=feature.hop_ms * detector.config.frames_per_step)
+    detection = _detection_config(settings, detector)
     split = outlet_disjoint_split(corpus, **_present(settings, "seed"))
     classifier_kwargs = {}
     if classifier == "svc" and args.svc_coef0 is not None:
         classifier_kwargs["coef0"] = args.svc_coef0
-    result = run_pipeline_eval(
-        corpus, split, classifier, detector, feature, detection, classifier_kwargs=classifier_kwargs
-    )
+    result = run_pipeline_eval(corpus, split, classifier, detector, detection, classifier_kwargs=classifier_kwargs)
     save_report(os.path.join(out, "report.json"), result.report)
     if result.scored is not None:
         save_scores_csv(os.path.join(out, "scores.csv"), result.scored)
@@ -364,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_breath)
 
     p = sub.add_parser("detect", help="detect breaths and compute statistics over a manifest")
-    _add_flags(p, *_FEATURE_SETTINGS, *_DETECT_SETTINGS)
+    _add_flags(p, *_DETECT_SETTINGS)
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True, help="trained detector model file")
     p.add_argument("--workers", type=int, default=1)

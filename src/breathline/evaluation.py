@@ -332,7 +332,6 @@ def run_pipeline_eval(
     split: SplitPlan,
     classifier_kind: str,
     detector: BreathDetectorModel,
-    feature_config: FeatureConfig = FeatureConfig(),
     detection_config: DetectionConfig = DetectionConfig(),
     stats_cache: Optional[dict[str, BreathStats]] = None,
     classifier_kwargs: Optional[dict] = None,
@@ -355,7 +354,7 @@ def run_pipeline_eval(
             stats[item.id] = stats_cache[item.id]
         else:
             audio = _item_audio(item)
-            intervals = detect_breaths(detector, audio, feature_config, detection_config)
+            intervals = detect_breaths(detector, audio, detection_config)
             stats[item.id] = compute_stats(intervals, audio.duration_ms)
             if stats_cache is not None:
                 stats_cache[item.id] = stats[item.id]
@@ -395,7 +394,7 @@ def run_pipeline_eval(
         {
             "classifier": classifier_kind,
             "classifier_kwargs": kwargs,
-            "features": dataclasses.asdict(feature_config),
+            "features": dataclasses.asdict(detector.config.features),
             "detection": dataclasses.asdict(detection_config),
             "split": dataclasses.asdict(split),
         }

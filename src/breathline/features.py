@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .container import header_fields, read_container, write_container
-from .errors import ConfigError, FormatError
-
-FEATURES_MAGIC = b"BLFT"
-FEATURES_VERSION = 2
+from .errors import ConfigError
 
 # dB floors: -100 dB for both the mel power spectrogram and the RMSE track
 POWER_EPS = 1e-10
@@ -166,31 +162,3 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig = FeatureConfig(
     data = np.column_stack([mel, zcr(frames), rmse_db(frames)])
     return FeatureMatrix(data.astype(np.float32), config, buffer.sample_rate)
 
-
-_HEADER_FIELDS = {"window_ms": float, "hop_ms": float, "n_mels": int, "sample_rate": int}
-
-
-def save_features(path, matrix: FeatureMatrix) -> None:
-    """A BLFT container: the feature config and sample rate in the
-    header, the matrix as one row-major little-endian float32 `data`
-    tensor."""
-    header = {
-        "version": FEATURES_VERSION,
-        "window_ms": matrix.config.window_ms,
-        "hop_ms": matrix.config.hop_ms,
-        "n_mels": matrix.config.n_mels,
-        "sample_rate": matrix.sample_rate,
-    }
-    write_container(path, FEATURES_MAGIC, header, {"data": matrix.data}, "<f4")
-
-
-def load_features(path) -> FeatureMatrix:
-    header, arrays = read_container(path, FEATURES_MAGIC, FEATURES_VERSION, "<f4")
-    if set(arrays) != {"data"}:
-        raise FormatError(f"{path}: a feature file holds one 'data' tensor, got {sorted(arrays)}")
-    fields = header_fields(path, header, _HEADER_FIELDS)
-    sample_rate = fields.pop("sample_rate")
-    try:
-        return FeatureMatrix(arrays["data"], FeatureConfig(**fields), sample_rate)
-    except ConfigError as exc:
-        raise FormatError(f"{path}: {exc}") from exc

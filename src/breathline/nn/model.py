@@ -9,25 +9,37 @@ pooled 800 -> 200 -> 40, so the model emits one breath probability per
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..container import header_fields, read_container, write_container
 from ..errors import ConfigError, FormatError, ShapeError
+from ..features import FeatureConfig
 from .layers import BatchNorm1D, Conv1D, Dropout, MaxPool1D, ReLU, Sigmoid, TimeDense
 from .recurrent import BiLSTM
 
 MODEL_MAGIC = b"BLNN"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # probabilities are clipped into the open interval (0, 1)
 PROB_EPS = 1e-12
 
+# far above the default detector (about 17k parameters, 104k values per
+# chunk): an oversized config is a ConfigError, not a failed allocation
+MAX_PARAMETERS = 10_000_000
+MAX_CHUNK_VALUES = 10_000_000
+
 
 @dataclass(frozen=True)
 class ModelConfig:
-    input_dim: int = 130
+    """The detector's architecture and the features it is trained on; a
+    detector is only valid on frames made with its own window, hop and mels."""
+
+    window_ms: float = FeatureConfig.window_ms
+    hop_ms: float = FeatureConfig.hop_ms
+    n_mels: int = FeatureConfig.n_mels
     conv_filters: tuple[int, ...] = (16, 8)
     conv_kernels: tuple[int, ...] = (3, 1)
     pool_size: int = 3
@@ -38,12 +50,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.features  # FeatureConfig validates the feature fields
         if not (len(self.conv_filters) == len(self.conv_kernels) == len(self.pool_strides)):
             raise ConfigError("conv_filters, conv_kernels and pool_strides must have equal length")
         if len(self.conv_filters) == 0:
             raise ConfigError("at least one conv block is required")
-        if min(self.input_dim, self.lstm_units, self.chunk_frames, *self.pool_strides) < 1:
-            raise ConfigError("input_dim, lstm_units, chunk_frames and pool_strides must be positive")
+        if min(self.lstm_units, self.chunk_frames, *self.pool_strides) < 1:
+            raise ConfigError("lstm_units, chunk_frames and pool_strides must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.chunk_frames % self.frames_per_step != 0:
@@ -51,18 +64,54 @@ class ModelConfig:
                 f"chunk_frames={self.chunk_frames} must be divisible by the "
                 f"total pool stride {self.frames_per_step}"
             )
+        parameters = sum(math.prod(shape) for shape in _tensor_shapes(self).values())
+        if parameters > MAX_PARAMETERS:
+            raise ConfigError(f"the detector would have {parameters} parameters, over the bound {MAX_PARAMETERS}")
+        if self.chunk_frames * self.input_dim > MAX_CHUNK_VALUES:
+            raise ConfigError(f"chunk_frames x input_dim is over the bound of {MAX_CHUNK_VALUES} values")
+
+    @property
+    def features(self) -> FeatureConfig:
+        return FeatureConfig(self.window_ms, self.hop_ms, self.n_mels)
+
+    @property
+    def input_dim(self) -> int:
+        return self.features.dim
 
     @property
     def frames_per_step(self) -> int:
         """Input frames consumed per output step (product of pool strides)."""
-        out = 1
-        for s in self.pool_strides:
-            out *= s
-        return out
+        return math.prod(self.pool_strides)
 
     @property
     def steps_per_chunk(self) -> int:
         return self.chunk_frames // self.frames_per_step
+
+    @property
+    def step_ms(self) -> float:
+        """Audio time covered by one output step."""
+        return self.hop_ms * self.frames_per_step
+
+
+def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter and buffer of BreathDetectorModel(config),
+    worked out without allocating them."""
+    shapes = {}
+    in_ch = config.input_dim
+    for i, (filters, kernel) in enumerate(zip(config.conv_filters, config.conv_kernels)):
+        shapes[f"conv{i}.w"] = (kernel, in_ch, filters)
+        shapes[f"conv{i}.b"] = (filters,)
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            shapes[f"bn{i}.{name}"] = (filters,)
+        in_ch = filters
+    units = config.lstm_units
+    for direction in ("fwd", "bwd"):
+        shapes[f"lstm.{direction}.wx"] = (in_ch, 4 * units)
+        shapes[f"lstm.{direction}.wh"] = (units, 4 * units)
+        shapes[f"lstm.{direction}.b"] = (4 * units,)
+    shapes["dense.w"] = (2 * units, 1)
+    shapes["dense.b"] = (1,)
+    return shapes
 
 
 class BreathDetectorModel:
@@ -162,27 +211,6 @@ class BreathDetectorModel:
         ]
         steps = -(-num_frames // self.config.frames_per_step)
         return np.concatenate(outputs).reshape(-1)[:steps]
-
-
-def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """The shape of every parameter and buffer of BreathDetectorModel(config),
-    worked out without allocating them."""
-    shapes = {}
-    in_ch = config.input_dim
-    for i, (filters, kernel) in enumerate(zip(config.conv_filters, config.conv_kernels)):
-        shapes[f"conv{i}.w"] = (kernel, in_ch, filters)
-        shapes[f"conv{i}.b"] = (filters,)
-        for name in ("gamma", "beta", "running_mean", "running_var"):
-            shapes[f"bn{i}.{name}"] = (filters,)
-        in_ch = filters
-    units = config.lstm_units
-    for direction in ("fwd", "bwd"):
-        shapes[f"lstm.{direction}.wx"] = (in_ch, 4 * units)
-        shapes[f"lstm.{direction}.wh"] = (units, 4 * units)
-        shapes[f"lstm.{direction}.b"] = (4 * units,)
-    shapes["dense.w"] = (2 * units, 1)
-    shapes["dense.b"] = (1,)
-    return shapes
 
 
 def save_model(path, model: BreathDetectorModel) -> None:

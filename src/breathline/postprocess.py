@@ -16,7 +16,7 @@ import numpy as np
 from .annotations import BreathIntervalSet
 from .audio_io import AudioBuffer
 from .errors import ConfigError
-from .features import FeatureConfig, extract_features
+from .features import extract_features
 
 MIN_BREATH_MS = 150.0
 
@@ -56,19 +56,17 @@ def slices_to_intervals(probabilities: np.ndarray, config: DetectionConfig = Det
     return BreathIntervalSet(intervals, total_duration_ms=total)
 
 
-def detect_breaths(
-    model,
-    audio: AudioBuffer,
-    feature_config: FeatureConfig = FeatureConfig(),
-    detection_config: DetectionConfig = DetectionConfig(),
-) -> BreathIntervalSet:
+def detect_breaths(model, audio: AudioBuffer, detection_config: DetectionConfig = DetectionConfig()) -> BreathIntervalSet:
     """Features -> framewise model -> intervals, for one audio buffer.
 
-    The final model step can extend past the end of the audio (the last
-    feature chunk is zero-padded), so intervals are clipped to the
-    buffer duration.
+    The features are the ones the model was trained on, and
+    `detection_config.step_ms` must be the model's step. The final model
+    step can extend past the end of the audio (the last feature chunk is
+    zero-padded), so intervals are clipped to the buffer duration.
     """
-    features = extract_features(audio, feature_config)
+    if detection_config.step_ms != model.config.step_ms:
+        raise ConfigError(f"step_ms={detection_config.step_ms} is not the detector's step, {model.config.step_ms} ms")
+    features = extract_features(audio, model.config.features)
     probs = model.predict_file(features.data)
     raw = slices_to_intervals(probs, detection_config)
     duration = audio.duration_ms

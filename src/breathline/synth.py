@@ -11,6 +11,7 @@ corpus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -53,10 +54,10 @@ class SynthesisConfig:
     outlet: Optional[str] = None
 
     def __post_init__(self):
-        if self.duration_ms <= 0:
-            raise ConfigError("duration_ms must be positive")
-        if self.breaths_per_minute < 0:
-            raise ConfigError("breaths_per_minute must be >= 0")
+        if not 0 < self.duration_ms < math.inf:
+            raise ConfigError("duration_ms must be positive and finite")
+        if not 0 <= self.breaths_per_minute < math.inf:
+            raise ConfigError("breaths_per_minute must be >= 0 and finite")
         lo, hi = self.breath_duration_ms
         if not (0 < lo <= hi):
             raise ConfigError(f"invalid breath duration range ({lo}, {hi})")

@@ -47,7 +47,7 @@ from breathline.synth import SynthesisConfig, synthesize_one
 
 SR = 16000
 TOY = ModelConfig(
-    input_dim=6, conv_filters=(4, 3), conv_kernels=(3, 1), pool_strides=(4, 5),
+    n_mels=4, conv_filters=(4, 3), conv_kernels=(3, 1), pool_strides=(4, 5),
     lstm_units=4, chunk_frames=40, seed=0,
 )
 

@@ -227,14 +227,13 @@ def test_flags_win_over_config_file(tmp_path, podcast_dir):
 def test_detect_takes_settings_from_config_file(tmp_path, podcast_dir, detector):
     _, model_path = detector
     config = tmp_path / "det.cfg"
-    config.write_text("threshold = 0.7\nmin_breath_ms = 200\nwindow_ms = 25\nseed = 3\n")
+    config.write_text("threshold = 0.7\nmin_breath_ms = 200\nseed = 3\n")
     out = tmp_path / "det"
     assert main(["detect", "--manifest", str(podcast_dir / "manifest.csv"), "--model", str(model_path),
                  "--config", str(config), "--out", str(out)]) == 0
     report = json.loads((out / "detect_report.json").read_text())
     assert report["detection_config"]["binarize_threshold"] == 0.7
     assert report["detection_config"]["min_breath_ms"] == 200.0
-    assert report["feature_config"]["window_ms"] == 25.0
     assert json.loads((out / "meta.json").read_text())["seed"] == 3
 
 
@@ -255,12 +254,54 @@ def test_config_file_alone_picks_experiment_and_classifier(tmp_path, news_dir, d
     ("detect", ["--min-breath-ms", "nan"]),
     ("detect", ["--workers", "0"]),
     ("evaluate", []),
-], ids=["batch size 0", "window nan", "min breath nan", "workers 0", "no experiment"])
+    ("train-breath", ["--lstm-units", "1000000"]),
+], ids=["batch size 0", "window nan", "min breath nan", "workers 0", "no experiment", "huge lstm"])
 def test_bad_setting_exits_2(tmp_path, podcast_dir, detector, capsys, command, extra):
     _, model_path = detector
     argv = [command, "--manifest", str(podcast_dir / "manifest.csv"), "--out", str(tmp_path / "out")]
     if command == "detect":
         argv += ["--model", str(model_path)]
+    assert main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_detect_uses_the_detectors_features(tmp_path, podcast_dir):
+    train_out, out = tmp_path / "train", tmp_path / "det"
+    assert main(["train-breath", "--manifest", str(podcast_dir / "manifest.csv"), "--hop-ms", "5",
+                 "--epochs", "12", "--batch-size", "4", "--learning-rate", "0.005", "--seed", "3",
+                 "--out", str(train_out)]) == 0
+    assert main(["detect", "--manifest", str(podcast_dir / "manifest.csv"),
+                 "--model", str(train_out / "model.bin"), "--out", str(out)]) == 0
+    report = json.loads((out / "detect_report.json").read_text())
+    assert report["feature_config"]["hop_ms"] == 5.0
+    assert report["detection_config"]["step_ms"] == 100.0
+    edges = [float(cell) * 1000.0 for path in (out / "intervals").iterdir()
+             for line in path.read_text().splitlines() for cell in line.split("\t")[:2]]
+    assert all(edge / 100.0 == pytest.approx(round(edge / 100.0)) for edge in edges)
+    assert all(float(row["bpm"]) > 0 for row in _read_stats(out / "stats.csv"))
+
+
+@pytest.mark.parametrize("command, extra, config, code", [
+    ("detect", [], "window_ms = 25\n", 2),
+    ("evaluate", ["--experiment", "pipeline", "--n-mels", "64"], "", 2),
+    ("detect", [], "window_ms = 20\nhop_ms = 2.5\nn_mels = 128\n", 0),
+], ids=["detect window from file", "pipeline n_mels flag", "equal values"])
+def test_feature_setting_must_match_the_detector(tmp_path, podcast_dir, detector, capsys, command, extra, config,
+                                                 code):
+    _, model_path = detector
+    (tmp_path / "exp.cfg").write_text(config)
+    assert main([command, "--manifest", str(podcast_dir / "manifest.csv"), "--model", str(model_path),
+                 "--config", str(tmp_path / "exp.cfg"), "--out", str(tmp_path / "out"), *extra]) == code
+    err = capsys.readouterr().err
+    assert code == 0 or (err.startswith("error:") and "detector" in err)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--speakers", "0"], ["--real-outlets", "0"], ["--fake-outlets", "0"], ["--duration-ms", "nan"],
+], ids=["no speakers", "no real outlets", "no fake outlets", "duration nan"])
+def test_synth_degenerate_setting_exits_2(tmp_path, capsys, extra):
+    argv = ["synth", "--out", str(tmp_path / "x"), "--real", "1", "--fake", "1", "--duration-ms", "4000"]
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err

@@ -1,4 +1,4 @@
-"""The shared BLNN/BLSV/BLFT container: malformed files raise FormatError
+"""The shared BLNN/BLSV container: malformed files raise FormatError
 from every loader, and `detect` reports a malformed model without a
 traceback."""
 
@@ -16,15 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import breathline
-from breathline.audio_io import AudioBuffer
 from breathline.breath_stats import BreathStats
 from breathline.classifiers import LabeledSample, load_svc, save_svc, svc_train
 from breathline.container import read_container, write_container
 from breathline.errors import FormatError
-from breathline.features import extract_features, load_features, save_features
 from breathline.nn.model import BreathDetectorModel, ModelConfig, load_model, save_model
 
-TINY = ModelConfig(input_dim=4, conv_filters=(3,), conv_kernels=(3,), pool_strides=(4,),
+TINY = ModelConfig(n_mels=2, conv_filters=(3,), conv_kernels=(3,), pool_strides=(4,),
                    lstm_units=2, chunk_frames=8, seed=0)
 
 
@@ -37,15 +35,9 @@ def _svc():
     return svc_train(samples)
 
 
-def _features():
-    samples = np.random.default_rng(0).uniform(-0.5, 0.5, 800)
-    return extract_features(AudioBuffer(samples, 16000))
-
-
 WRITERS = {
     "model": (lambda p: save_model(p, BreathDetectorModel(TINY)), load_model),
     "svc": (lambda p: save_svc(p, _svc()), load_svc),
-    "features": (lambda p: save_features(p, _features()), load_features),
 }
 
 

@@ -59,7 +59,7 @@ def test_config_digest_is_stable():
 
 def test_model_param_digest():
     small = ModelConfig(
-        input_dim=6, conv_filters=(4, 3), conv_kernels=(3, 1), pool_strides=(4, 5),
+        n_mels=4, conv_filters=(4, 3), conv_kernels=(3, 1), pool_strides=(4, 5),
         lstm_units=4, chunk_frames=40, seed=0,
     )
     assert digest_model_params(BreathDetectorModel(small)) == digest_model_params(BreathDetectorModel(small))
@@ -70,7 +70,7 @@ def test_model_param_digest():
 def test_fold_models_are_freshly_initialized():
     # two folds of the same experiment must not share parameters
     small = ModelConfig(
-        input_dim=6, conv_filters=(4, 3), conv_kernels=(3, 1), pool_strides=(4, 5),
+        n_mels=4, conv_filters=(4, 3), conv_kernels=(3, 1), pool_strides=(4, 5),
         lstm_units=4, chunk_frames=40, seed=0,
     )
     rng = np.random.default_rng(0)

@@ -1,18 +1,16 @@
-"""Feature extraction: mel bands, ZCR, RMSE, framing, and the BLFT container."""
+"""Feature extraction: mel bands, ZCR, RMSE, and framing."""
 
 import numpy as np
 import pytest
 from oracles import naive_mel_db, naive_rmse_db, naive_zcr
 
 from breathline.audio_io import AudioBuffer
-from breathline.errors import ConfigError, FormatError
+from breathline.errors import ConfigError
 from breathline.features import (
     FeatureConfig,
     extract_features,
     hz_to_mel,
-    load_features,
     mel_to_hz,
-    save_features,
     zcr,
     rmse_db,
 )
@@ -147,26 +145,6 @@ def test_gain_scaling_shifts_db_columns():
     diff = (loud.data[:, :128] - quiet.data[:, :128])[above_floor]
     np.testing.assert_allclose(diff, 20.0, atol=1e-5)
     np.testing.assert_array_equal(loud.data[:, 128], quiet.data[:, 128])
-
-
-def test_container_roundtrip(tmp_path):
-    rng = np.random.default_rng(6)
-    fm = extract_features(AudioBuffer(np.clip(rng.normal(0, 0.1, 8000), -1, 1), SR))
-    path = tmp_path / "f.blft"
-    save_features(path, fm)
-    back = load_features(path)
-    np.testing.assert_array_equal(back.data, fm.data)
-    assert back.config == fm.config and back.sample_rate == fm.sample_rate
-
-    raw = path.read_bytes()
-    bad = tmp_path / "bad.blft"
-    bad.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(FormatError):
-        load_features(bad)
-    trunc = tmp_path / "trunc.blft"
-    trunc.write_bytes(raw[:-16])
-    with pytest.raises(FormatError):
-        load_features(trunc)
 
 
 def test_fractional_hop_rejected():

@@ -1,5 +1,6 @@
 """Detector model: shapes, chunked prediction, and the BLNN container."""
 
+import dataclasses
 import json
 import struct
 import threading
@@ -12,7 +13,7 @@ from breathline.nn.model import BreathDetectorModel, ModelConfig, load_model, sa
 
 # small but structurally complete: two conv blocks, strides 4*5
 SMALL = ModelConfig(
-    input_dim=6,
+    n_mels=4,
     conv_filters=(4, 3),
     conv_kernels=(3, 1),
     pool_strides=(4, 5),
@@ -83,7 +84,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(conv_filters=(16,), conv_kernels=(3, 1))
     with pytest.raises(ConfigError):
-        ModelConfig(input_dim=0)
+        ModelConfig(n_mels=-2)
     with pytest.raises(ConfigError):
         ModelConfig(conv_filters=(), conv_kernels=(), pool_strides=())
 
@@ -102,6 +103,12 @@ def test_save_load_bit_exact(tmp_path):
         np.testing.assert_array_equal(back.buffers()[name], arr)
     x = np.random.default_rng(7).normal(size=(2, 40, 6))
     np.testing.assert_array_equal(back.forward(x), model.forward(x))
+
+    # the features the detector was trained on travel with it
+    hop5 = BreathDetectorModel(dataclasses.replace(SMALL, window_ms=25.0, hop_ms=5.0))
+    save_model(path, hop5)
+    back = load_model(path).config
+    assert back == hop5.config and (back.window_ms, back.hop_ms, back.n_mels, back.step_ms) == (25.0, 5.0, 4, 100.0)
 
 
 def _rewrite_header(raw: bytes, mutate) -> bytes:

@@ -9,7 +9,7 @@ from breathline.nn.model import BreathDetectorModel, ModelConfig
 from breathline.nn.train import TrainConfig, bce_loss, make_training_chunks, train
 
 SMALL = ModelConfig(
-    input_dim=6,
+    n_mels=4,
     conv_filters=(4, 3),
     conv_kernels=(3, 1),
     pool_strides=(4, 5),

@@ -105,6 +105,13 @@ def test_detect_breaths_on_breathless_audio(detector):
     assert got.durations_ms().sum() <= 1000.0
 
 
+def test_detect_breaths_needs_the_detectors_step(detector):
+    model, _ = detector
+    buf, _ = synthesize_one(SynthesisConfig(duration_ms=2000.0, rng_seed=79))
+    with pytest.raises(ConfigError, match="step"):
+        detect_breaths(model, buf, DetectionConfig(step_ms=100.0))
+
+
 @pytest.mark.parametrize("fields", [
     {"min_breath_ms": float("nan")}, {"min_breath_ms": float("inf")},
     {"step_ms": float("nan")}, {"step_ms": float("inf")},
