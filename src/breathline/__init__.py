@@ -46,6 +46,7 @@ from .evaluation import (
     CorpusItem,
     ExperimentResult,
     SplitPlan,
+    detect_manifest,
     outlet_disjoint_split,
     run_pipeline_eval,
     test1_contiguous_kfold,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annotations import BreathIntervalSet
-from .errors import InputError, ValidationError
+from .errors import InputError
 
 STATS_FIELDS = ["id", "label", "bpm", "avg_duration_ms", "avg_spacing_ms"]
 
@@ -65,23 +65,3 @@ def save_stats_csv(path, rows: list[tuple[str, str, BreathStats]]) -> None:
                     f"{stats.avg_spacing_ms:.6g}",
                 ]
             )
-
-
-def load_stats_csv(path) -> list[tuple[str, str, BreathStats]]:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != STATS_FIELDS:
-            raise ValidationError(f"{path}: expected header {STATS_FIELDS}, got {header}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(STATS_FIELDS):
-                raise ValidationError(f"{path}:{line_no}: expected {len(STATS_FIELDS)} fields")
-            try:
-                stats = BreathStats(float(row[2]), float(row[3]), float(row[4]))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{line_no}: {exc}") from exc
-            rows.append((row[0], row[1], stats))
-    return rows

@@ -25,20 +25,21 @@ import json
 import logging
 import os
 import sys
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .annotations import save_annotations
-from .audio_io import CANONICAL_RATE, load_wav, resample, write_wav
-from .breath_stats import compute_stats, save_stats_csv
+from .audio_io import write_wav
+from .breath_stats import save_stats_csv
 from .classifiers import save_svc, save_tree
-from .errors import BreathlineError, ConfigError
+from .errors import BreathlineError, ConfigError, InputError
 from .evaluation import (
     _EXPERIMENT_KEYS,
     CLASSIFIER_KINDS,
+    detect_manifest,
     digest_config,
     load_frame_corpus,
     load_sample_corpus,
@@ -49,11 +50,11 @@ from .evaluation import (
     test2_leave_one_podcast,
     test3_leave_one_speaker,
 )
-from .manifest import load_manifest, save_manifest
+from .manifest import save_manifest
 from .metrics import save_report, save_scores_csv
 from .nn import BreathDetectorModel, ModelConfig, TrainConfig, load_model, save_model, train
 from .plots import render_box_plot, render_scatter, save_svg
-from .postprocess import DetectionConfig, detect_breaths
+from .postprocess import DetectionConfig
 from .synth import REAL_BPM_RANGE, SynthesisConfig, synthesize_corpus
 
 log = logging.getLogger("breathline")
@@ -122,6 +123,8 @@ def _settings(args) -> dict:
     for name, allowed in _CHOICES.items():
         if name in settings and settings[name] not in allowed:
             raise ConfigError(f"{name} must be one of {allowed}, got {settings[name]!r}")
+    if settings.get("seed", 0) < 0:
+        raise ConfigError("seed must be >= 0")
     return settings
 
 
@@ -152,6 +155,10 @@ def _detection_config(settings: dict, detector: BreathDetectorModel) -> Detectio
 def cmd_synth(args) -> int:
     if min(args.speakers, args.real_outlets, args.fake_outlets) < 1:
         raise ConfigError("--speakers, --real-outlets and --fake-outlets must be >= 1")
+    if not (0 <= args.bpm_min < math.inf and 0 <= args.bpm_max < math.inf):
+        raise ConfigError("--bpm-min and --bpm-max must be >= 0 and finite")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     out = _ensure_out(args)
     rng = np.random.default_rng(args.seed)
     speakers = [f"spk{k}" for k in range(args.speakers)]
@@ -221,38 +228,19 @@ def cmd_train_breath(args) -> int:
 def cmd_detect(args) -> int:
     out = _ensure_out(args)
     settings = _settings(args)
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
     model = load_model(args.model)
     detection = _detection_config(settings, model)
-    entries = load_manifest(args.manifest)
-    base = os.path.dirname(os.fspath(args.manifest))
+    rows, errors = detect_manifest(model, args.manifest, detection, args.workers)
+    for file_id, message in errors.items():
+        log.warning("skipping %s: %s", file_id, message)
     intervals_dir = os.path.join(out, "intervals")
     os.makedirs(intervals_dir, exist_ok=True)
-
-    def process(entry):
-        audio = load_wav(os.path.join(base, entry.source))
-        if audio.sample_rate != CANONICAL_RATE:
-            audio = resample(audio, CANONICAL_RATE)
-        intervals = detect_breaths(model, audio, detection)
-        return entry, intervals, compute_stats(intervals, audio.duration_ms)
-
-    results, errors = [], {}
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        futures = {pool.submit(process, entry): entry for entry in entries}
-        for future, entry in futures.items():
-            try:
-                results.append(future.result())
-            except (BreathlineError, OSError) as exc:
-                errors[entry.id] = str(exc)
-                log.warning("skipping %s: %s", entry.id, exc)
-    results.sort(key=lambda r: r[0].id)
-    for entry, intervals, _ in results:
+    for entry, intervals, _ in rows:
         save_annotations(os.path.join(intervals_dir, f"{entry.id}.tsv"), intervals)
-    save_stats_csv(os.path.join(out, "stats.csv"), [(e.id, e.label, s) for e, _, s in results])
+    save_stats_csv(os.path.join(out, "stats.csv"), [(e.id, e.label, s) for e, _, s in rows])
     report = {
-        "ok": [e.id for e, _, _ in results],
-        "errors": dict(sorted(errors.items())),
+        "ok": [e.id for e, _, _ in rows],
+        "errors": errors,
         "detection_config": dataclasses.asdict(detection),
         "feature_config": dataclasses.asdict(model.config.features),
     }
@@ -262,8 +250,8 @@ def cmd_detect(args) -> int:
     # detect draws no random numbers; meta.json records the seed setting all the same
     _write_meta(out, settings.get("seed", TrainConfig.seed), {"command": "detect", "report": report})
     _write_run_log(out, sys.argv[1:])
-    if not results:
-        log.error("all %d files failed", len(entries))
+    if not rows:
+        log.error("all %d files failed", len(errors))
         return 1
     return 0
 
@@ -302,16 +290,22 @@ def _evaluate_pipeline(args, settings: dict, out: str) -> int:
         raise ConfigError("pipeline evaluation needs --model or --podcast-manifest")
     detection = _detection_config(settings, detector)
     split = outlet_disjoint_split(corpus, **_present(settings, "seed"))
+    # a split with holes cannot be scored: every failed file is named
+    rows, errors = detect_manifest(detector, args.manifest, detection)
+    if errors:
+        failures = "; ".join(f"{file_id}: {message}" for file_id, message in errors.items())
+        raise InputError(f"detection failed for {len(errors)} of {len(corpus)} files: {failures}")
+    stats = {entry.id: s for entry, _, s in rows}
     classifier_kwargs = {}
     if classifier == "svc" and args.svc_coef0 is not None:
         classifier_kwargs["coef0"] = args.svc_coef0
-    result = run_pipeline_eval(corpus, split, classifier, detector, detection, classifier_kwargs=classifier_kwargs)
+    result = run_pipeline_eval(corpus, split, classifier, stats, detector, detection, classifier_kwargs)
     save_report(os.path.join(out, "report.json"), result.report)
     if result.scored is not None:
         save_scores_csv(os.path.join(out, "scores.csv"), result.scored)
-    save_stats_csv(os.path.join(out, "stats.csv"), sorted(result.stats, key=lambda r: r[0]))
+    save_stats_csv(os.path.join(out, "stats.csv"), [(e.id, e.label, s) for e, _, s in rows])
     points = [
-        (s.avg_breaths_per_minute, s.avg_breath_duration_ms, label) for _, label, s in result.stats
+        (stats[item.id].avg_breaths_per_minute, stats[item.id].avg_breath_duration_ms, item.label) for item in corpus
     ]
     save_svg(
         os.path.join(out, "stats_scatter.svg"),

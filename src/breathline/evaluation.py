@@ -4,8 +4,9 @@ end-to-end sample-level pipeline evaluation.
 Three frame-level tests probe how the breath detector generalizes:
 per-podcast held-out blocks (test1), leave-one-podcast-out (test2), and
 leave-one-speaker-out (test3). Every fold retrains from a fresh
-seed-derived initialization. The pipeline evaluation runs audio ->
-breath intervals -> statistics -> sample classifier over an
+seed-derived initialization. `detect_manifest` is the one path from a
+manifest's audio to breath intervals and statistics; the pipeline
+evaluation scores those statistics with a sample classifier over an
 outlet-disjoint train/test split.
 """
 
@@ -15,12 +16,13 @@ import dataclasses
 import hashlib
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .annotations import frames_from_intervals, load_annotations, steps_from_frames
+from .annotations import BreathIntervalSet, frames_from_intervals, load_annotations, steps_from_frames
 from .audio_io import CANONICAL_RATE, AudioBuffer, load_wav, resample
 from .breath_stats import BreathStats, compute_stats
 from .classifiers import (
@@ -33,14 +35,14 @@ from .classifiers import (
     tree_score,
     tree_train,
 )
-from .errors import ConfigError, InputError, ValidationError
+from .errors import BreathlineError, ConfigError, InputError, ValidationError
 from .features import FeatureConfig, extract_features
-from .manifest import load_manifest
+from .manifest import ManifestEntry, load_manifest
 from .metrics import EvalReport, ScoredPredictions, auprc, eer, point_metrics
 from .nn import BreathDetectorModel, ModelConfig, TrainConfig, train
 from .postprocess import DetectionConfig, detect_breaths
 
-CORPUS_KINDS = ("podcast", "news", "synthetic")
+CORPUS_KINDS = ("podcast", "news")
 CLASSIFIER_KINDS = ("threshold", "svc", "tree")
 
 
@@ -52,7 +54,6 @@ class CorpusItem:
     label: Optional[str] = None
     features: Optional[np.ndarray] = None  # (frames, dim)
     frame_labels: Optional[np.ndarray] = None  # (frames,) bool
-    audio: Optional[object] = None  # AudioBuffer or a path to a WAV file
 
 
 @dataclass
@@ -307,22 +308,53 @@ def outlet_disjoint_split(corpus: Corpus, seed: int = 0) -> SplitPlan:
     )
 
 
-def _item_audio(item: CorpusItem) -> AudioBuffer:
-    audio = item.audio
-    if audio is None:
-        raise InputError(f"item {item.id!r} has no audio")
-    if not isinstance(audio, AudioBuffer):
-        audio = load_wav(os.fspath(audio))
+def _canonical_audio(path) -> AudioBuffer:
+    """A WAV file's audio at CANONICAL_RATE."""
+    audio = load_wav(path)
     if audio.sample_rate != CANONICAL_RATE:
         audio = resample(audio, CANONICAL_RATE)
     return audio
+
+
+DetectionRow = tuple[ManifestEntry, BreathIntervalSet, BreathStats]
+
+
+def detect_manifest(
+    model: BreathDetectorModel, manifest_path, detection_config: DetectionConfig, workers: int = 1
+) -> tuple[list[DetectionRow], dict[str, str]]:
+    """Breath intervals and statistics for every file of a manifest.
+
+    Sources are resolved relative to the manifest's directory and run on
+    `workers` threads. Every file is read: one that fails with a
+    BreathlineError or OSError is recorded, not raised. Returns the
+    `(entry, intervals, stats)` rows and the failed ids' messages, both
+    sorted by id."""
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
+    entries = load_manifest(manifest_path)
+    base = os.path.dirname(os.fspath(manifest_path))
+
+    def process(entry: ManifestEntry) -> DetectionRow:
+        audio = _canonical_audio(os.path.join(base, entry.source))
+        intervals = detect_breaths(model, audio, detection_config)
+        return entry, intervals, compute_stats(intervals, audio.duration_ms)
+
+    rows, errors = [], {}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(process, entry): entry for entry in entries}
+        for future, entry in futures.items():
+            try:
+                rows.append(future.result())
+            except (BreathlineError, OSError) as exc:
+                errors[entry.id] = str(exc)
+    rows.sort(key=lambda row: row[0].id)
+    return rows, dict(sorted(errors.items()))
 
 
 @dataclass
 class PipelineResult:
     report: EvalReport
     scored: Optional[ScoredPredictions]
-    stats: list[tuple[str, str, BreathStats]]
     predictions: dict[str, str]
     classifier_model: object = None
 
@@ -331,34 +363,25 @@ def run_pipeline_eval(
     corpus: Corpus,
     split: SplitPlan,
     classifier_kind: str,
+    stats: dict[str, BreathStats],
     detector: BreathDetectorModel,
     detection_config: DetectionConfig = DetectionConfig(),
-    stats_cache: Optional[dict[str, BreathStats]] = None,
     classifier_kwargs: Optional[dict] = None,
 ) -> PipelineResult:
-    """Detect breaths per sample, train the chosen sample classifier on
-    the split's train side (thresholding needs no training), and report
+    """Train the chosen sample classifier on the statistics of the
+    split's train side (thresholding needs no training) and report
     test-side metrics with real as the positive class.
 
+    `stats` maps each split id to its breath statistics, as
+    `detect_manifest` computed them with `detector` and
+    `detection_config`; those two only identify the run in the report.
     `classifier_kwargs` forwards extra keyword arguments (e.g. C, gamma,
     coef0, max_depth) to the chosen trainer."""
     if classifier_kind not in CLASSIFIER_KINDS:
         raise ConfigError(f"classifier must be one of {CLASSIFIER_KINDS}, got {classifier_kind!r}")
-    wanted = set(split.train_ids) | set(split.test_ids)
-    stats: dict[str, BreathStats] = {}
-    stat_rows = []
-    for item in corpus:
-        if item.id not in wanted:
-            continue
-        if stats_cache is not None and item.id in stats_cache:
-            stats[item.id] = stats_cache[item.id]
-        else:
-            audio = _item_audio(item)
-            intervals = detect_breaths(detector, audio, detection_config)
-            stats[item.id] = compute_stats(intervals, audio.duration_ms)
-            if stats_cache is not None:
-                stats_cache[item.id] = stats[item.id]
-        stat_rows.append((item.id, item.label, stats[item.id]))
+    missing = [i for i in (*split.train_ids, *split.test_ids) if i not in stats]
+    if missing:
+        raise InputError(f"no breath statistics for {missing}")
 
     model = None
     scores: Optional[list[float]] = None
@@ -418,12 +441,10 @@ def run_pipeline_eval(
             "outlet_overlap": len(set(split.train_outlets) & set(split.test_outlets)),
         },
     )
-    return PipelineResult(report, scored, stat_rows, predictions, model)
+    return PipelineResult(report, scored, predictions, model)
 
 
-def load_frame_corpus(
-    manifest_path, feature_config: FeatureConfig = FeatureConfig(), kind: str = "podcast"
-) -> Corpus:
+def load_frame_corpus(manifest_path, feature_config: FeatureConfig = FeatureConfig()) -> Corpus:
     """Manifest -> corpus with extracted features and frame labels.
 
     Sources and annotation paths are resolved relative to the manifest's
@@ -435,9 +456,7 @@ def load_frame_corpus(
     for entry in entries:
         if entry.annotation_path is None:
             raise InputError(f"manifest entry {entry.id!r} has no annotation_path")
-        audio = load_wav(os.path.join(base, entry.source))
-        if audio.sample_rate != CANONICAL_RATE:
-            audio = resample(audio, CANONICAL_RATE)
+        audio = _canonical_audio(os.path.join(base, entry.source))
         features = extract_features(audio, feature_config)
         intervals = load_annotations(os.path.join(base, entry.annotation_path), audio.duration_ms)
         frame_labels = frames_from_intervals(
@@ -453,24 +472,21 @@ def load_frame_corpus(
                 frame_labels=frame_labels.labels,
             )
         )
-    return Corpus(items, kind, name=os.path.basename(os.fspath(manifest_path)))
+    return Corpus(items, "podcast", name=os.path.basename(os.fspath(manifest_path)))
 
 
-def load_sample_corpus(manifest_path, kind: str = "news") -> Corpus:
-    """Manifest -> corpus of labeled samples with lazily-loaded audio paths."""
-    entries = load_manifest(manifest_path)
-    base = os.path.dirname(os.fspath(manifest_path))
+def load_sample_corpus(manifest_path) -> Corpus:
+    """Manifest -> corpus of labeled samples (ids, outlets and labels only)."""
     items = [
         CorpusItem(
             id=entry.id,
             speaker_id=entry.speaker_id,
             outlet=entry.outlet,
             label=entry.label,
-            audio=os.path.join(base, entry.source),
         )
-        for entry in entries
+        for entry in load_manifest(manifest_path)
     ]
-    return Corpus(items, kind, name=os.path.basename(os.fspath(manifest_path)))
+    return Corpus(items, "news", name=os.path.basename(os.fspath(manifest_path)))
 
 
 # the settings table: each CLI setting flag and config-file key with its type;

@@ -179,11 +179,6 @@ def save_report(path, report: EvalReport) -> None:
         f.write("\n")
 
 
-def load_report(path) -> dict:
-    with open(path) as f:
-        return json.load(f)
-
-
 def save_scores_csv(path, scored: ScoredPredictions) -> None:
     """CSV `id,score,truth`; truth is 1 for the positive class. Scores
     are written with repr-style round-trip precision."""
@@ -193,19 +188,3 @@ def save_scores_csv(path, scored: ScoredPredictions) -> None:
         writer.writerow(["id", "score", "truth"])
         for sid, score, truth in zip(ids, scored.scores, scored.truths):
             writer.writerow([sid, repr(float(score)), int(truth)])
-
-
-def load_scores_csv(path, positive_label: str = "positive") -> ScoredPredictions:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["id", "score", "truth"]:
-            raise InputError(f"{path}: expected header id,score,truth, got {header}")
-        ids, scores, truths = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            ids.append(row[0])
-            scores.append(float(row[1]))
-            truths.append(bool(int(row[2])))
-    return ScoredPredictions(np.array(scores), np.array(truths), positive_label, ids)

@@ -28,6 +28,10 @@ REAL_BPM_RANGE = (8.0, 14.0)
 
 FADE_MS = 10.0
 
+# two hours: room for long-recording runs, and a ConfigError before a huge
+# duration is rendered
+MAX_DURATION_MS = 2 * 60 * 60 * 1000.0
+
 
 @dataclass
 class SynthesisConfig:
@@ -54,8 +58,8 @@ class SynthesisConfig:
     outlet: Optional[str] = None
 
     def __post_init__(self):
-        if not 0 < self.duration_ms < math.inf:
-            raise ConfigError("duration_ms must be positive and finite")
+        if not 0 < self.duration_ms <= MAX_DURATION_MS:
+            raise ConfigError(f"duration_ms must be positive and at most {MAX_DURATION_MS:g}, got {self.duration_ms}")
         if not 0 <= self.breaths_per_minute < math.inf:
             raise ConfigError("breaths_per_minute must be >= 0 and finite")
         lo, hi = self.breath_duration_ms

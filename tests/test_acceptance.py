@@ -29,6 +29,7 @@ from breathline.cli import main
 from breathline.evaluation import (
     Corpus,
     CorpusItem,
+    detect_manifest,
     load_sample_corpus,
     outlet_disjoint_split,
     run_pipeline_eval,
@@ -286,10 +287,10 @@ def test_criterion_5_pipeline_separates_synthetic_corpus(tmp_path):
     detector = load_model(det / "model.bin")
     corpus = load_sample_corpus(news / "manifest.csv")
     split = outlet_disjoint_split(corpus, seed=7)
-    cache = {}
-    svc = run_pipeline_eval(corpus, split, "svc", detector, stats_cache=cache,
-                            classifier_kwargs={"coef0": 1.0})
-    thr = run_pipeline_eval(corpus, split, "threshold", detector, stats_cache=cache)
+    rows, _ = detect_manifest(detector, news / "manifest.csv", DetectionConfig())
+    stats = {entry.id: s for entry, _, s in rows}
+    svc = run_pipeline_eval(corpus, split, "svc", stats, detector, classifier_kwargs={"coef0": 1.0})
+    thr = run_pipeline_eval(corpus, split, "threshold", stats, detector)
 
     elapsed = time.monotonic() - t0
     ok = (svc.report.auprc == 1.0 and svc.report.eer == 0.0

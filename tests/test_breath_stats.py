@@ -1,13 +1,15 @@
 """Per-file breath statistics and their CSV round trip."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from breathline.annotations import BreathIntervalSet
-from breathline.breath_stats import BreathStats, compute_stats, load_stats_csv, save_stats_csv
-from breathline.errors import InputError, ValidationError
+from breathline.breath_stats import BreathStats, compute_stats, save_stats_csv
+from breathline.errors import InputError
 
 
 def test_reference_example():
@@ -79,24 +81,7 @@ def test_csv_roundtrip(tmp_path):
     ]
     path = tmp_path / "stats.csv"
     save_stats_csv(path, rows)
-    loaded = load_stats_csv(path)
-    assert [(r[0], r[1]) for r in loaded] == [("a", "real"), ("b", "fake")]
-    for (_, _, got), (_, _, want) in zip(loaded, rows):
-        np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=1e-5)
-
-
-def test_csv_header_and_line_errors(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("id,bpm\n")
-    with pytest.raises(ValidationError, match="header"):
-        load_stats_csv(bad)
-
-    short = tmp_path / "short.csv"
-    short.write_text("id,label,bpm,avg_duration_ms,avg_spacing_ms\na,real,1.0\n")
-    with pytest.raises(ValidationError, match=":2:"):
-        load_stats_csv(short)
-
-    nan = tmp_path / "nan.csv"
-    nan.write_text("id,label,bpm,avg_duration_ms,avg_spacing_ms\na,real,x,1.0,2.0\n")
-    with pytest.raises(ValidationError, match=":2:"):
-        load_stats_csv(nan)
+    with open(path, newline="") as f:
+        header, *loaded = list(csv.reader(f))
+    assert header == ["id", "label", "bpm", "avg_duration_ms", "avg_spacing_ms"]
+    assert loaded == [["a", "real", "9.5", "312.25", "5100"], ["b", "fake", "0", "0", "0"]]

@@ -182,6 +182,30 @@ def test_evaluate_pipeline_threshold_writes_no_scores(tmp_path, news_dir, detect
     assert json.loads((out / "report.json").read_text())["auprc"] is None
 
 
+def test_detect_and_pipeline_write_the_same_stats(tmp_path, news_dir, detector):
+    _, model_path = detector
+    common = ["--manifest", str(news_dir / "manifest.csv"), "--model", str(model_path)]
+    det, pipe = tmp_path / "det", tmp_path / "pipe"
+    assert main(["detect", *common, "--out", str(det)]) == 0
+    assert main(["evaluate", "--experiment", "pipeline", *common, "--out", str(pipe)]) == 0
+    assert (det / "stats.csv").read_bytes() == (pipe / "stats.csv").read_bytes()
+
+
+def test_evaluate_pipeline_names_every_bad_file(tmp_path, news_dir, detector, capsys):
+    _, model_path = detector
+    corpus = tmp_path / "news"
+    shutil.copytree(news_dir, corpus)
+    (corpus / "fake-0002.wav").write_bytes(b"RIFFnot-audio")
+    (corpus / "real-0005.wav").write_bytes(b"")
+    out = tmp_path / "pipe"
+    assert main(["evaluate", "--experiment", "pipeline", "--manifest", str(corpus / "manifest.csv"),
+                 "--model", str(model_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "fake-0002" in err and "real-0005" in err
+    assert not (out / "report.json").exists()
+
+
 def test_evaluate_pipeline_needs_a_detector(tmp_path, news_dir, capsys):
     rc = main(["evaluate", "--experiment", "pipeline",
                "--manifest", str(news_dir / "manifest.csv"), "--out", str(tmp_path / "x")])
@@ -255,11 +279,13 @@ def test_config_file_alone_picks_experiment_and_classifier(tmp_path, news_dir, d
     ("detect", ["--workers", "0"]),
     ("evaluate", []),
     ("train-breath", ["--lstm-units", "1000000"]),
-], ids=["batch size 0", "window nan", "min breath nan", "workers 0", "no experiment", "huge lstm"])
+    ("evaluate", ["--experiment", "pipeline", "--seed", "-1"]),
+], ids=["batch size 0", "window nan", "min breath nan", "workers 0", "no experiment", "huge lstm",
+        "pipeline seed -1"])
 def test_bad_setting_exits_2(tmp_path, podcast_dir, detector, capsys, command, extra):
     _, model_path = detector
     argv = [command, "--manifest", str(podcast_dir / "manifest.csv"), "--out", str(tmp_path / "out")]
-    if command == "detect":
+    if command != "train-breath":
         argv += ["--model", str(model_path)]
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
@@ -299,7 +325,9 @@ def test_feature_setting_must_match_the_detector(tmp_path, podcast_dir, detector
 
 @pytest.mark.parametrize("extra", [
     ["--speakers", "0"], ["--real-outlets", "0"], ["--fake-outlets", "0"], ["--duration-ms", "nan"],
-], ids=["no speakers", "no real outlets", "no fake outlets", "duration nan"])
+    ["--bpm-min", "nan", "--bpm-max", "nan"], ["--seed", "-1"], ["--duration-ms", "1e12"],
+], ids=["no speakers", "no real outlets", "no fake outlets", "duration nan", "bpm nan", "negative seed",
+        "duration 1e12"])
 def test_synth_degenerate_setting_exits_2(tmp_path, capsys, extra):
     argv = ["synth", "--out", str(tmp_path / "x"), "--real", "1", "--fake", "1", "--duration-ms", "4000"]
     assert main(argv + extra) == 2

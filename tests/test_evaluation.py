@@ -1,6 +1,7 @@
 """Experiment folds, outlet-disjoint splitting, and the pipeline evaluation."""
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from breathline.evaluation import (
     CorpusItem,
     ExperimentResult,
     SplitPlan,
+    detect_manifest,
     digest_config,
     digest_model_params,
     fold_seed,
@@ -23,6 +25,7 @@ from breathline.evaluation import test1_contiguous_kfold as contiguous_kfold
 from breathline.evaluation import test2_leave_one_podcast as leave_one_podcast
 from breathline.evaluation import test3_leave_one_speaker as leave_one_speaker
 from breathline.nn import BreathDetectorModel, ModelConfig, TrainConfig, train
+from breathline.postprocess import DetectionConfig
 
 FAST_MODEL = ModelConfig(lstm_units=8, seed=0)
 FAST_TRAIN = TrainConfig(epochs=2, seed=0)
@@ -168,11 +171,18 @@ def test_split_plan_rejects_overlap():
         )
 
 
+def _news_stats(model, news_dir):
+    rows, errors = detect_manifest(model, news_dir / "manifest.csv", DetectionConfig())
+    assert errors == {}
+    return {entry.id: stats for entry, _, stats in rows}
+
+
 def test_pipeline_eval_threshold(news_dir, detector):
     model, _ = detector
     corpus = load_sample_corpus(news_dir / "manifest.csv")
     split = outlet_disjoint_split(corpus, seed=0)
-    result = run_pipeline_eval(corpus, split, "threshold", model)
+    stats = _news_stats(model, news_dir)
+    result = run_pipeline_eval(corpus, split, "threshold", stats, model)
     report = result.report
     assert report.positive_label == "real"
     assert report.num_samples == len(split.test_ids)
@@ -180,34 +190,53 @@ def test_pipeline_eval_threshold(news_dir, detector):
     assert set(result.predictions) == set(split.test_ids)
     assert report.extra["outlet_overlap"] == 0
     assert report.extra["train_size"] == len(split.train_ids)
-    assert len(result.stats) == len(split.train_ids) + len(split.test_ids)
+    assert len(stats) == len(split.train_ids) + len(split.test_ids)
     point = report.point
     assert point.tp + point.fp + point.tn + point.fn == report.num_samples
 
 
-def test_pipeline_eval_svc_with_cache_and_kwargs(news_dir, detector):
+def test_pipeline_eval_svc_tree_and_kwargs(news_dir, detector):
     model, _ = detector
     corpus = load_sample_corpus(news_dir / "manifest.csv")
     split = outlet_disjoint_split(corpus, seed=0)
-    cache = {}
-    first = run_pipeline_eval(corpus, split, "svc", model, stats_cache=cache, classifier_kwargs={"coef0": 1.0})
+    stats = _news_stats(model, news_dir)
+    first = run_pipeline_eval(corpus, split, "svc", stats, model, classifier_kwargs={"coef0": 1.0})
     assert first.scored is not None
     assert first.report.auprc is not None and first.report.eer is not None
-    assert len(cache) == len(split.train_ids) + len(split.test_ids)
 
-    # a warm cache skips detection entirely and reuses the same stats objects
-    second = run_pipeline_eval(corpus, split, "svc", model, stats_cache=cache, classifier_kwargs={"coef0": 1.0})
-    assert second.stats[0][2] is first.stats[0][2]
-    assert second.report.auprc == first.report.auprc
-
-    default = run_pipeline_eval(corpus, split, "svc", model, stats_cache=cache)
+    default = run_pipeline_eval(corpus, split, "svc", stats, model)
     assert default.report.config_digest != first.report.config_digest
 
-    tree = run_pipeline_eval(corpus, split, "tree", model, stats_cache=cache)
+    tree = run_pipeline_eval(corpus, split, "tree", stats, model)
     assert tree.scored is not None and tree.classifier_model is not None
 
     with pytest.raises(ConfigError):
-        run_pipeline_eval(corpus, split, "forest", model, stats_cache=cache)
+        run_pipeline_eval(corpus, split, "forest", stats, model)
+
+
+def test_pipeline_eval_needs_stats_for_every_split_id(news_dir, detector):
+    model, _ = detector
+    corpus = load_sample_corpus(news_dir / "manifest.csv")
+    split = outlet_disjoint_split(corpus, seed=0)
+    stats = _news_stats(model, news_dir)
+    del stats[split.test_ids[0]]
+    with pytest.raises(InputError, match=split.test_ids[0]):
+        run_pipeline_eval(corpus, split, "threshold", stats, model)
+
+
+def test_detect_manifest_collects_every_failure(tmp_path, news_dir, detector):
+    model, _ = detector
+    shutil.copytree(news_dir, tmp_path / "news")
+    (tmp_path / "news" / "fake-0003.wav").write_bytes(b"RIFFnot-audio")
+    (tmp_path / "news" / "real-0001.wav").unlink()
+    manifest = tmp_path / "news" / "manifest.csv"
+    rows, errors = detect_manifest(model, manifest, DetectionConfig(), workers=2)
+    assert sorted(errors) == ["fake-0003", "real-0001"]
+    ids = [entry.id for entry, _, _ in rows]
+    assert ids == sorted(ids) and len(ids) == 14
+    assert detect_manifest(model, manifest, DetectionConfig(), workers=1) == (rows, errors)
+    with pytest.raises(ConfigError):
+        detect_manifest(model, manifest, DetectionConfig(), workers=0)
 
 
 def test_parse_experiment_config(tmp_path):
