@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .annotations import (
     BreathIntervalSet,
-    FrameLabels,
     frames_from_intervals,
     load_annotations,
     save_annotations,
@@ -42,7 +41,6 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import (
-    Corpus,
     CorpusItem,
     ExperimentResult,
     SplitPlan,

@@ -10,7 +10,7 @@ output steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,13 +54,6 @@ class BreathIntervalSet:
     def __iter__(self):
         return iter(self.intervals)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BreathIntervalSet)
-            and self.intervals == other.intervals
-            and self.total_duration_ms == other.total_duration_ms
-        )
-
     def durations_ms(self) -> np.ndarray:
         return np.array([e - s for s, e in self.intervals], dtype=np.float64)
 
@@ -70,21 +63,6 @@ class BreathIntervalSet:
             [self.intervals[i + 1][0] - self.intervals[i][1] for i in range(len(self.intervals) - 1)],
             dtype=np.float64,
         )
-
-
-@dataclass
-class FrameLabels:
-    """Per-frame breath booleans aligned to a feature matrix."""
-
-    labels: np.ndarray
-    window_ms: float
-    hop_ms: float
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=bool)
-
-    def __len__(self) -> int:
-        return int(self.labels.size)
 
 
 def load_annotations(path, total_duration_ms: float) -> BreathIntervalSet:
@@ -134,7 +112,7 @@ def save_annotations(path, intervals: BreathIntervalSet) -> None:
 
 def frames_from_intervals(
     intervals: BreathIntervalSet, window_ms: float, hop_ms: float, num_frames: int
-) -> FrameLabels:
+) -> np.ndarray:
     """Label frame t positive iff its window [t*hop, t*hop+window) overlaps
     the interval union by strictly more than window/2."""
     overlap = np.zeros(num_frames, dtype=np.float64)
@@ -148,16 +126,16 @@ def frames_from_intervals(
         overlap[first : last + 1] += np.maximum(
             0.0, np.minimum(e, starts + window_ms) - np.maximum(s, starts)
         )
-    return FrameLabels(overlap > window_ms / 2.0, window_ms, hop_ms)
+    return overlap > window_ms / 2.0
 
 
-def steps_from_frames(frame_labels, frames_per_step: int = 20) -> np.ndarray:
+def steps_from_frames(frame_labels: np.ndarray, frames_per_step: int = 20) -> np.ndarray:
     """Strict-majority pooling of frame labels into output steps.
 
     A step is positive iff more than half of the frames it covers are
     positive. The final step may cover fewer frames.
     """
-    labels = frame_labels.labels if isinstance(frame_labels, FrameLabels) else np.asarray(frame_labels, dtype=bool)
+    labels = np.asarray(frame_labels, dtype=bool)
     n = labels.size
     num_steps = -(-n // frames_per_step)
     steps = np.zeros(num_steps, dtype=bool)

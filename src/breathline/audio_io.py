@@ -18,6 +18,9 @@ from scipy.signal import resample_poly
 from .errors import ConfigError, FormatError, UnsupportedFormatError
 
 CANONICAL_RATE = 16000
+# the highest WAV sample rate read; resampling it to CANONICAL_RATE takes
+# a polyphase filter of at most about 8M taps
+MAX_SAMPLE_RATE = 384000
 
 # int16 full scale; -32768 maps to -1.0 exactly
 PCM16_SCALE = 32768.0
@@ -114,6 +117,8 @@ def load_wav(path) -> AudioBuffer:
         raise UnsupportedFormatError(f"{path}: unsupported WAV encoding: {bits}-bit PCM")
     if audio_format == 3 and bits != 32:
         raise UnsupportedFormatError(f"{path}: unsupported WAV encoding: {bits}-bit IEEE float")
+    if not 1 <= sample_rate <= MAX_SAMPLE_RATE:
+        raise FormatError(f"{path}: sample rate {sample_rate} Hz is outside 1..{MAX_SAMPLE_RATE}")
 
     bytes_per_sample = bits // 8
     frame_bytes = bytes_per_sample * channels

@@ -11,6 +11,7 @@ scores are oriented so that higher means more real.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -107,8 +108,12 @@ def svc_train(
     standardized first; gamma defaults to 1 / (num_features * variance
     of the standardized matrix).
     """
-    if C <= 0:
-        raise ConfigError("C must be positive")
+    if not 0 < C < math.inf:
+        raise ConfigError(f"C must be positive and finite, got {C}")
+    if not math.isfinite(coef0):
+        raise ConfigError(f"coef0 must be finite, got {coef0}")
+    if gamma is not None and not 0 < gamma < math.inf:
+        raise ConfigError(f"gamma must be positive and finite, got {gamma}")
     x_raw, y = _samples_to_xy(samples)
     if len(set(y)) < 2:
         raise TrainingError("SVC training needs at least one sample of each class")

@@ -42,7 +42,6 @@ from .evaluation import (
     detect_manifest,
     digest_config,
     load_frame_corpus,
-    load_sample_corpus,
     outlet_disjoint_split,
     parse_experiment_config,
     run_pipeline_eval,
@@ -50,7 +49,7 @@ from .evaluation import (
     test2_leave_one_podcast,
     test3_leave_one_speaker,
 )
-from .manifest import save_manifest
+from .manifest import load_manifest, save_manifest
 from .metrics import save_report, save_scores_csv
 from .nn import BreathDetectorModel, ModelConfig, TrainConfig, load_model, save_model, train
 from .plots import render_box_plot, render_scatter, save_svg
@@ -205,15 +204,15 @@ def cmd_synth(args) -> int:
 def cmd_train_breath(args) -> int:
     out = _ensure_out(args)
     train_cfg, model_config = _detector_configs(_settings(args))
-    corpus = load_frame_corpus(args.manifest, model_config.features)
+    items = load_frame_corpus(args.manifest, model_config.features)
     model = BreathDetectorModel(model_config)
-    history = train(model, [(item.features, item.frame_labels) for item in corpus], train_cfg)
+    history = train(model, [(item.features, item.frame_labels) for item in items], train_cfg)
     for epoch, loss in enumerate(history, start=1):
         log.info("epoch %d: loss %.6f", epoch, loss)
     save_model(os.path.join(out, "model.bin"), model)
     report = {
         "loss_history": history,
-        "num_files": len(corpus),
+        "num_files": len(items),
         "model_config": dataclasses.asdict(model.config),
         "train_config": dataclasses.asdict(train_cfg),
     }
@@ -259,9 +258,9 @@ def cmd_detect(args) -> int:
 def _evaluate_frames(args, settings: dict, out: str) -> int:
     experiment = settings["experiment"]
     train_cfg, model_config = _detector_configs(settings)
-    corpus = load_frame_corpus(args.manifest, model_config.features)
+    items = load_frame_corpus(args.manifest, model_config.features)
     names = ("iterations", "seed") if experiment == "test1" else ("seed",)
-    result = _FRAME_TESTS[experiment](corpus, model_config, train_cfg, **_present(settings, *names))
+    result = _FRAME_TESTS[experiment](items, model_config, train_cfg, **_present(settings, *names))
     doc = result.to_dict()
     with open(os.path.join(out, f"experiment_{result.experiment}.json"), "w") as f:
         json.dump(doc, f, sort_keys=True, indent=2)
@@ -277,35 +276,37 @@ def _evaluate_frames(args, settings: dict, out: str) -> int:
 
 def _evaluate_pipeline(args, settings: dict, out: str) -> int:
     classifier = settings.get("classifier", "svc")  # the library has no default classifier
-    corpus = load_sample_corpus(args.manifest)
-    if args.model:
+    if (args.model is None) == (args.podcast_manifest is None):
+        raise ConfigError("pipeline evaluation needs exactly one of --model or --podcast-manifest")
+    entries = load_manifest(args.manifest)
+    split = outlet_disjoint_split(entries, **_present(settings, "seed"))
+    if args.model is not None:
         detector = load_model(args.model)
-    elif args.podcast_manifest:
+    else:
         train_cfg, model_config = _detector_configs(settings)
         detector = BreathDetectorModel(model_config)
-        podcast_corpus = load_frame_corpus(args.podcast_manifest, model_config.features)
-        train(detector, [(i.features, i.frame_labels) for i in podcast_corpus], train_cfg)
+        podcast_items = load_frame_corpus(args.podcast_manifest, model_config.features)
+        train(detector, [(i.features, i.frame_labels) for i in podcast_items], train_cfg)
         save_model(os.path.join(out, "detector.bin"), detector)
-    else:
-        raise ConfigError("pipeline evaluation needs --model or --podcast-manifest")
     detection = _detection_config(settings, detector)
-    split = outlet_disjoint_split(corpus, **_present(settings, "seed"))
     # a split with holes cannot be scored: every failed file is named
     rows, errors = detect_manifest(detector, args.manifest, detection)
     if errors:
         failures = "; ".join(f"{file_id}: {message}" for file_id, message in errors.items())
-        raise InputError(f"detection failed for {len(errors)} of {len(corpus)} files: {failures}")
+        raise InputError(f"detection failed for {len(errors)} of {len(entries)} files: {failures}")
     stats = {entry.id: s for entry, _, s in rows}
     classifier_kwargs = {}
     if classifier == "svc" and args.svc_coef0 is not None:
         classifier_kwargs["coef0"] = args.svc_coef0
-    result = run_pipeline_eval(corpus, split, classifier, stats, detector, detection, classifier_kwargs)
+    result = run_pipeline_eval(
+        rows, split, classifier, detector, detection, classifier_kwargs, os.path.basename(args.manifest)
+    )
     save_report(os.path.join(out, "report.json"), result.report)
     if result.scored is not None:
         save_scores_csv(os.path.join(out, "scores.csv"), result.scored)
     save_stats_csv(os.path.join(out, "stats.csv"), [(e.id, e.label, s) for e, _, s in rows])
     points = [
-        (stats[item.id].avg_breaths_per_minute, stats[item.id].avg_breath_duration_ms, item.label) for item in corpus
+        (stats[e.id].avg_breaths_per_minute, stats[e.id].avg_breath_duration_ms, e.label) for e in entries
     ]
     save_svg(
         os.path.join(out, "stats_scatter.svg"),

@@ -42,53 +42,17 @@ from .metrics import EvalReport, ScoredPredictions, auprc, eer, point_metrics
 from .nn import BreathDetectorModel, ModelConfig, TrainConfig, train
 from .postprocess import DetectionConfig, detect_breaths
 
-CORPUS_KINDS = ("podcast", "news")
 CLASSIFIER_KINDS = ("threshold", "svc", "tree")
 
 
 @dataclass
 class CorpusItem:
+    """One annotated recording as the frame experiments see it."""
+
     id: str
+    features: np.ndarray  # (frames, dim)
+    frame_labels: np.ndarray  # (frames,) bool
     speaker_id: Optional[str] = None
-    outlet: Optional[str] = None
-    label: Optional[str] = None
-    features: Optional[np.ndarray] = None  # (frames, dim)
-    frame_labels: Optional[np.ndarray] = None  # (frames,) bool
-
-
-@dataclass
-class Corpus:
-    items: list[CorpusItem]
-    kind: str
-    name: str = ""
-
-    def __post_init__(self):
-        if self.kind not in CORPUS_KINDS:
-            raise ConfigError(f"corpus kind must be one of {CORPUS_KINDS}, got {self.kind!r}")
-        self._by_id = {item.id: item for item in self.items}
-        if len(self._by_id) != len(self.items):
-            raise ValidationError("corpus items must have unique ids")
-        for item in self.items:
-            if self.kind == "podcast" and item.speaker_id is None:
-                raise ValidationError(f"podcast item {item.id!r} needs a speaker_id")
-            if self.kind == "news" and item.outlet is None:
-                raise ValidationError(f"news item {item.id!r} needs an outlet")
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self):
-        return len(self.items)
-
-    def item(self, item_id: str) -> CorpusItem:
-        try:
-            return self._by_id[item_id]
-        except KeyError:
-            raise InputError(f"no corpus item with id {item_id!r}") from None
-
-    def digest(self) -> str:
-        payload = [(i.id, i.label, i.speaker_id, i.outlet) for i in self.items]
-        return digest_config({"kind": self.kind, "items": payload})
 
 
 @dataclass
@@ -157,12 +121,6 @@ def fold_seed(seed: int, fold_index: int) -> int:
     return seed ^ (fold_index + 1)
 
 
-def _require_frame_items(corpus: Corpus):
-    for item in corpus:
-        if item.features is None or item.frame_labels is None:
-            raise InputError(f"item {item.id!r} is missing features or frame labels")
-
-
 def _train_fold_detector(
     items: list[tuple[np.ndarray, np.ndarray]],
     model_config: ModelConfig,
@@ -184,7 +142,7 @@ def _pooled_frame_auprc(model: BreathDetectorModel, pairs: list[tuple[np.ndarray
 
 
 def test1_contiguous_kfold(
-    corpus: Corpus,
+    items: list[CorpusItem],
     model_config: ModelConfig = ModelConfig(),
     train_config: TrainConfig = TrainConfig(),
     iterations: int = 100,
@@ -193,17 +151,16 @@ def test1_contiguous_kfold(
     """Per iteration, hold out one uniformly-placed contiguous block of
     1/x of each podcast's frames (x = podcast count), train on the rest,
     and record the pooled validation AUPRC."""
-    _require_frame_items(corpus)
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
-    x = len(corpus)
+    x = len(items)
     if x < 1:
         raise ConfigError("test1 needs a non-empty corpus")
     rng = np.random.default_rng(seed)
     values = []
     for iteration in range(iterations):
         train_pairs, val_pairs = [], []
-        for item in corpus:
+        for item in items:
             num_frames = item.features.shape[0]
             block = int(round(num_frames / x))
             if block < 1 or block > num_frames:
@@ -220,19 +177,18 @@ def test1_contiguous_kfold(
 
 
 def test2_leave_one_podcast(
-    corpus: Corpus,
+    items: list[CorpusItem],
     model_config: ModelConfig = ModelConfig(),
     train_config: TrainConfig = TrainConfig(),
     seed: int = 0,
 ) -> ExperimentResult:
     """Hold out each podcast in turn, training on the remaining ones."""
-    _require_frame_items(corpus)
-    if len(corpus) < 2:
+    if len(items) < 2:
         raise ConfigError("test2 needs at least 2 podcasts")
     values, labels = [], []
-    for index, held_out in enumerate(corpus):
+    for index, held_out in enumerate(items):
         train_pairs = [
-            (item.features, item.frame_labels) for item in corpus if item.id != held_out.id
+            (item.features, item.frame_labels) for item in items[:index] + items[index + 1 :]
         ]
         model = _train_fold_detector(train_pairs, model_config, train_config, fold_seed(seed, index))
         values.append(_pooled_frame_auprc(model, [(held_out.features, held_out.frame_labels)]))
@@ -241,46 +197,50 @@ def test2_leave_one_podcast(
 
 
 def test3_leave_one_speaker(
-    corpus: Corpus,
+    items: list[CorpusItem],
     model_config: ModelConfig = ModelConfig(),
     train_config: TrainConfig = TrainConfig(),
     seed: int = 0,
 ) -> ExperimentResult:
     """Hold out all podcasts of each speaker in turn."""
-    _require_frame_items(corpus)
-    speakers = sorted({item.speaker_id for item in corpus})
+    speakerless = [item.id for item in items if item.speaker_id is None]
+    if speakerless:
+        raise InputError(f"test3 needs a speaker_id for every item; none for {speakerless}")
+    speakers = sorted({item.speaker_id for item in items})
     if len(speakers) < 2:
         raise ConfigError("test3 needs at least 2 speakers")
     values = []
     for index, speaker in enumerate(speakers):
         train_pairs = [
-            (item.features, item.frame_labels) for item in corpus if item.speaker_id != speaker
+            (item.features, item.frame_labels) for item in items if item.speaker_id != speaker
         ]
         val_pairs = [
-            (item.features, item.frame_labels) for item in corpus if item.speaker_id == speaker
+            (item.features, item.frame_labels) for item in items if item.speaker_id == speaker
         ]
         model = _train_fold_detector(train_pairs, model_config, train_config, fold_seed(seed, index))
         values.append(_pooled_frame_auprc(model, val_pairs))
     return ExperimentResult("test3", speakers, values, seed)
 
 
-def outlet_disjoint_split(corpus: Corpus, seed: int = 0) -> SplitPlan:
-    """Assign whole outlets to train or test.
+def outlet_disjoint_split(entries: list[ManifestEntry], seed: int = 0) -> SplitPlan:
+    """Assign whole outlets to train or test; the ids keep the entries' order.
 
     Outlets are bucketed by the labels they carry (real-only, fake-only,
     mixed); each bucket is shuffled and dealt alternately so that, when
     an outlet bucket has at least two members, both sides receive one.
     Real-only buckets start on the train side and fake-only on the test
-    side, which balances sizes for the common two-by-two layout.
+    side, which balances sizes for the common two-by-two layout. Every
+    entry must be labeled real or fake.
     """
-    outlets = sorted({item.outlet for item in corpus})
+    unscorable = [entry.id for entry in entries if entry.label not in ("real", "fake")]
+    if unscorable:
+        raise InputError(f"the pipeline needs a real or fake label on every entry; not on {unscorable}")
+    outlets = sorted({entry.outlet for entry in entries})
     if len(outlets) < 2:
         raise ConfigError("outlet-disjoint split needs at least 2 outlets")
     labels_by_outlet = {o: set() for o in outlets}
-    for item in corpus:
-        if item.label is None:
-            raise InputError(f"item {item.id!r} has no label")
-        labels_by_outlet[item.outlet].add(item.label)
+    for entry in entries:
+        labels_by_outlet[entry.outlet].add(entry.label)
     buckets = {
         "real_only": [o for o in outlets if labels_by_outlet[o] == {"real"}],
         "fake_only": [o for o in outlets if labels_by_outlet[o] == {"fake"}],
@@ -294,8 +254,8 @@ def outlet_disjoint_split(corpus: Corpus, seed: int = 0) -> SplitPlan:
         for position, outlet in enumerate(shuffled):
             train_side = (position % 2 == 0) == first_train
             assignment[outlet] = "train" if train_side else "test"
-    train_ids = [item.id for item in corpus if assignment[item.outlet] == "train"]
-    test_ids = [item.id for item in corpus if assignment[item.outlet] == "test"]
+    train_ids = [entry.id for entry in entries if assignment[entry.outlet] == "train"]
+    test_ids = [entry.id for entry in entries if assignment[entry.outlet] == "test"]
     if not train_ids or not test_ids:
         raise ConfigError("outlet-disjoint split left one side empty")
     return SplitPlan(
@@ -360,25 +320,28 @@ class PipelineResult:
 
 
 def run_pipeline_eval(
-    corpus: Corpus,
+    rows: list[DetectionRow],
     split: SplitPlan,
     classifier_kind: str,
-    stats: dict[str, BreathStats],
     detector: BreathDetectorModel,
     detection_config: DetectionConfig = DetectionConfig(),
     classifier_kwargs: Optional[dict] = None,
+    dataset_id: str = "",
 ) -> PipelineResult:
     """Train the chosen sample classifier on the statistics of the
     split's train side (thresholding needs no training) and report
     test-side metrics with real as the positive class.
 
-    `stats` maps each split id to its breath statistics, as
-    `detect_manifest` computed them with `detector` and
-    `detection_config`; those two only identify the run in the report.
+    `rows` pair each split id's manifest entry with its breath
+    statistics, as `detect_manifest` computed them with `detector` and
+    `detection_config`; those two only identify the run in the report,
+    as `dataset_id` (the manifest's file name) does the data.
     `classifier_kwargs` forwards extra keyword arguments (e.g. C, gamma,
     coef0, max_depth) to the chosen trainer."""
     if classifier_kind not in CLASSIFIER_KINDS:
         raise ConfigError(f"classifier must be one of {CLASSIFIER_KINDS}, got {classifier_kind!r}")
+    labels = {entry.id: entry.label for entry, _, _ in rows}
+    stats = {entry.id: s for entry, _, s in rows}
     missing = [i for i in (*split.train_ids, *split.test_ids) if i not in stats]
     if missing:
         raise InputError(f"no breath statistics for {missing}")
@@ -390,7 +353,7 @@ def run_pipeline_eval(
         predict = threshold_classify
     else:
         train_samples = [
-            LabeledSample(i, stats[i], corpus.item(i).label) for i in split.train_ids
+            LabeledSample(i, stats[i], labels[i]) for i in split.train_ids
         ]
         if classifier_kind == "svc":
             model = svc_train(train_samples, **kwargs)
@@ -402,7 +365,7 @@ def run_pipeline_eval(
             scores = [tree_score(model, stats[i]) for i in split.test_ids]
 
     predictions = {i: predict(stats[i]) for i in split.test_ids}
-    truths = np.array([corpus.item(i).label == "real" for i in split.test_ids])
+    truths = np.array([labels[i] == "real" for i in split.test_ids])
     predicted = np.array([predictions[i] == "real" for i in split.test_ids])
     point = point_metrics(predicted, truths)
 
@@ -423,7 +386,7 @@ def run_pipeline_eval(
         }
     )
     report = EvalReport(
-        dataset_id=corpus.name or corpus.digest(),
+        dataset_id=dataset_id,
         model_id=f"{classifier_kind}+detector:{digest_model_params(detector)}",
         config_digest=config_digest,
         positive_label="real",
@@ -444,16 +407,16 @@ def run_pipeline_eval(
     return PipelineResult(report, scored, predictions, model)
 
 
-def load_frame_corpus(manifest_path, feature_config: FeatureConfig = FeatureConfig()) -> Corpus:
-    """Manifest -> corpus with extracted features and frame labels.
+def load_frame_corpus(manifest_path, feature_config: FeatureConfig = FeatureConfig()) -> list[CorpusItem]:
+    """Manifest -> frame items with extracted features and frame labels,
+    in manifest order.
 
     Sources and annotation paths are resolved relative to the manifest's
     directory. Every entry needs an annotation file.
     """
-    entries = load_manifest(manifest_path)
     base = os.path.dirname(os.fspath(manifest_path))
     items = []
-    for entry in entries:
+    for entry in load_manifest(manifest_path):
         if entry.annotation_path is None:
             raise InputError(f"manifest entry {entry.id!r} has no annotation_path")
         audio = _canonical_audio(os.path.join(base, entry.source))
@@ -462,31 +425,8 @@ def load_frame_corpus(manifest_path, feature_config: FeatureConfig = FeatureConf
         frame_labels = frames_from_intervals(
             intervals, feature_config.window_ms, feature_config.hop_ms, features.num_frames
         )
-        items.append(
-            CorpusItem(
-                id=entry.id,
-                speaker_id=entry.speaker_id,
-                outlet=entry.outlet,
-                label=entry.label,
-                features=features.data,
-                frame_labels=frame_labels.labels,
-            )
-        )
-    return Corpus(items, "podcast", name=os.path.basename(os.fspath(manifest_path)))
-
-
-def load_sample_corpus(manifest_path) -> Corpus:
-    """Manifest -> corpus of labeled samples (ids, outlets and labels only)."""
-    items = [
-        CorpusItem(
-            id=entry.id,
-            speaker_id=entry.speaker_id,
-            outlet=entry.outlet,
-            label=entry.label,
-        )
-        for entry in load_manifest(manifest_path)
-    ]
-    return Corpus(items, "news", name=os.path.basename(os.fspath(manifest_path)))
+        items.append(CorpusItem(entry.id, features.data, frame_labels, entry.speaker_id))
+    return items
 
 
 # the settings table: each CLI setting flag and config-file key with its type;

@@ -84,10 +84,6 @@ class ModelConfig:
         return math.prod(self.pool_strides)
 
     @property
-    def steps_per_chunk(self) -> int:
-        return self.chunk_frames // self.frames_per_step
-
-    @property
     def step_ms(self) -> float:
         """Audio time covered by one output step."""
         return self.hop_ms * self.frames_per_step

@@ -27,10 +27,8 @@ from breathline.breath_stats import BreathStats
 from breathline.classifiers import LabeledSample, poly_kernel, svc_train
 from breathline.cli import main
 from breathline.evaluation import (
-    Corpus,
     CorpusItem,
     detect_manifest,
-    load_sample_corpus,
     outlet_disjoint_split,
     run_pipeline_eval,
 )
@@ -38,6 +36,7 @@ from breathline.evaluation import test1_contiguous_kfold as contiguous_kfold
 from breathline.evaluation import test2_leave_one_podcast as leave_one_podcast
 from breathline.evaluation import test3_leave_one_speaker as leave_one_speaker
 from breathline.features import FeatureConfig, extract_features
+from breathline.manifest import load_manifest
 from breathline.metrics import ScoredPredictions, auprc, counts_to_metrics, eer
 from breathline.nn import BreathDetectorModel, ModelConfig, TrainConfig, load_model
 from breathline.nn.layers import BatchNorm1D, Conv1D, Dropout, MaxPool1D, Sigmoid, TimeDense
@@ -285,12 +284,10 @@ def test_criterion_5_pipeline_separates_synthetic_corpus(tmp_path):
                  "--out", str(det), "--epochs", "30", "--seed", "5"]) == 0
 
     detector = load_model(det / "model.bin")
-    corpus = load_sample_corpus(news / "manifest.csv")
-    split = outlet_disjoint_split(corpus, seed=7)
+    split = outlet_disjoint_split(load_manifest(news / "manifest.csv"), seed=7)
     rows, _ = detect_manifest(detector, news / "manifest.csv", DetectionConfig())
-    stats = {entry.id: s for entry, _, s in rows}
-    svc = run_pipeline_eval(corpus, split, "svc", stats, detector, classifier_kwargs={"coef0": 1.0})
-    thr = run_pipeline_eval(corpus, split, "threshold", stats, detector)
+    svc = run_pipeline_eval(rows, split, "svc", detector, classifier_kwargs={"coef0": 1.0})
+    thr = run_pipeline_eval(rows, split, "threshold", detector)
 
     elapsed = time.monotonic() - t0
     ok = (svc.report.auprc == 1.0 and svc.report.eer == 0.0
@@ -326,14 +323,13 @@ def test_criterion_6_generalizability_ordering():
         fm = extract_features(buffer)
         labels = frames_from_intervals(intervals, 20.0, 2.5, fm.num_frames)
         items.append(CorpusItem(id=cfg.name, speaker_id=cfg.speaker_id,
-                                features=fm.data, frame_labels=labels.labels))
-    corpus = Corpus(items, "podcast")
+                                features=fm.data, frame_labels=labels))
 
     model_cfg = ModelConfig()
     train_cfg = TrainConfig(epochs=30)
-    r1 = contiguous_kfold(corpus, model_cfg, train_cfg, iterations=5, seed=11)
-    r2 = leave_one_podcast(corpus, model_cfg, train_cfg, seed=11)
-    r3 = leave_one_speaker(corpus, model_cfg, train_cfg, seed=11)
+    r1 = contiguous_kfold(items, model_cfg, train_cfg, iterations=5, seed=11)
+    r2 = leave_one_podcast(items, model_cfg, train_cfg, seed=11)
+    r3 = leave_one_speaker(items, model_cfg, train_cfg, seed=11)
 
     elapsed = time.monotonic() - t0
     ok = r1.mean >= r2.mean >= r3.mean and r1.mean >= 0.9 and elapsed < 1800.0

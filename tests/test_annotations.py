@@ -5,7 +5,6 @@ import pytest
 
 from breathline.annotations import (
     BreathIntervalSet,
-    FrameLabels,
     frames_from_intervals,
     load_annotations,
     save_annotations,
@@ -81,9 +80,9 @@ def test_load_empty_file(tmp_path):
 def test_frame_labels_strict_majority_boundary():
     # exactly half the 20 ms window covered is still negative
     half = frames_from_intervals(BreathIntervalSet([(0.0, 10.0)], 100.0), 20.0, 2.5, 8)
-    assert not half.labels[0]
+    assert not half[0]
     over = frames_from_intervals(BreathIntervalSet([(0.0, 11.0)], 100.0), 20.0, 2.5, 8)
-    assert over.labels[0]
+    assert over[0]
 
 
 def test_frame_labels_match_direct_overlap_rule():
@@ -93,7 +92,7 @@ def test_frame_labels_match_direct_overlap_rule():
     # exactly for t in [37, 115]
     expected = np.zeros(200, dtype=bool)
     expected[37:116] = True
-    np.testing.assert_array_equal(got.labels, expected)
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_frame_labels_agree_with_loop_oracle():
@@ -115,14 +114,14 @@ def test_frame_labels_agree_with_loop_oracle():
             lo, hi = 2.5 * t, 2.5 * t + 20.0
             cover = sum(max(0.0, min(e, hi) - max(s, lo)) for s, e in iset)
             want[t] = cover > 10.0
-        np.testing.assert_array_equal(got.labels, want)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_more_intervals_never_clear_frames():
     base = BreathIntervalSet([(100.0, 200.0)], 1000.0)
     extended = BreathIntervalSet([(100.0, 200.0), (500.0, 650.0)], 1000.0)
-    a = frames_from_intervals(base, 20.0, 2.5, 400).labels
-    b = frames_from_intervals(extended, 20.0, 2.5, 400).labels
+    a = frames_from_intervals(base, 20.0, 2.5, 400)
+    b = frames_from_intervals(extended, 20.0, 2.5, 400)
     assert np.all(b[a])  # every frame positive under `base` stays positive
 
 
@@ -140,8 +139,3 @@ def test_steps_partial_final_block():
     steps = steps_from_frames(frames, 20)
     assert steps.shape == (3,)
     np.testing.assert_array_equal(steps, [False, False, True])
-
-
-def test_steps_accept_frame_labels_object():
-    fl = FrameLabels(np.ones(40, dtype=bool), 20.0, 2.5)
-    np.testing.assert_array_equal(steps_from_frames(fl, 20), [True, True])

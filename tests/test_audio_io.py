@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from breathline.audio_io import AudioBuffer, load_wav, resample, write_wav
+from breathline.audio_io import MAX_SAMPLE_RATE, AudioBuffer, load_wav, resample, write_wav
 from breathline.errors import ConfigError, FormatError, UnsupportedFormatError
 
 
@@ -63,6 +63,20 @@ def _pcm16_wav(data: bytes, channels: int, rate: int) -> bytes:
     fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * block, block, 16)
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
     return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _with_sample_rate(blob: bytes, rate: int) -> bytes:
+    return blob[:24] + struct.pack("<I", rate) + blob[28:]
+
+
+@pytest.mark.parametrize("rate", [0, MAX_SAMPLE_RATE + 1, 4294967291])
+def test_sample_rate_out_of_range(tmp_path, rate):
+    p = tmp_path / "x.wav"
+    p.write_bytes(_with_sample_rate(_pcm16_wav(np.zeros(50, dtype="<i2").tobytes(), 1, 16000), rate))
+    with pytest.raises(FormatError, match="sample rate"):
+        load_wav(p)
+    p.write_bytes(_with_sample_rate(p.read_bytes(), MAX_SAMPLE_RATE))
+    assert load_wav(p).sample_rate == MAX_SAMPLE_RATE
 
 
 def test_bad_magic_and_truncation(tmp_path):

@@ -20,7 +20,7 @@ from breathline.classifiers import (
     tree_score,
     tree_train,
 )
-from breathline.errors import FormatError, TrainingError, ValidationError
+from breathline.errors import ConfigError, FormatError, TrainingError, ValidationError
 
 
 def _sample(i, label, values):
@@ -125,6 +125,16 @@ def test_svc_needs_both_classes():
     samples = [_sample(i, "real", (9.0 + i, 300.0, 4000.0)) for i in range(4)]
     with pytest.raises(TrainingError):
         svc_train(samples)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"C": 0.0}, {"C": float("nan")}, {"C": float("inf")}, {"coef0": float("nan")}, {"coef0": float("inf")},
+    {"gamma": 0.0}, {"gamma": float("nan")}, {"gamma": float("inf")},
+])
+def test_svc_rejects_bad_hyperparameters(kwargs):
+    samples = _cluster_dataset(np.random.default_rng(0))
+    with pytest.raises(ConfigError):
+        svc_train(samples, **kwargs)
 
 
 def test_svc_container_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end command line checks; heavy work is kept to a few epochs."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
@@ -14,6 +15,7 @@ import pytest
 
 import breathline
 from breathline.cli import main, _setup_logging
+from breathline.manifest import load_manifest, save_manifest
 from breathline.nn import load_model
 
 
@@ -206,6 +208,61 @@ def test_evaluate_pipeline_names_every_bad_file(tmp_path, news_dir, detector, ca
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("relabel", [
+    lambda e: e.outlet == "tts0",
+    lambda e: e.id in ("real-0000", "real-0002"),
+], ids=["unlabeled outlet", "unlabeled in a real outlet"])
+def test_evaluate_pipeline_names_every_unlabeled_entry(tmp_path, news_dir, detector, capsys, relabel):
+    _, model_path = detector
+    corpus = tmp_path / "news"
+    shutil.copytree(news_dir, corpus)
+    entries = load_manifest(corpus / "manifest.csv")
+    unlabeled = [e.id for e in entries if relabel(e)]
+    save_manifest(corpus / "manifest.csv",
+                  [dataclasses.replace(e, label="unlabeled") if relabel(e) else e for e in entries])
+    out = tmp_path / "pipe"
+    assert main(["evaluate", "--experiment", "pipeline", "--manifest", str(corpus / "manifest.csv"),
+                 "--model", str(model_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "label" in err and all(i in err for i in unlabeled)
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, code", [("train-breath", 1), ("detect", 0)])
+def test_out_of_range_sample_rate(tmp_path, podcast_dir, detector, capsys, command, code):
+    _, model_path = detector
+    corpus = tmp_path / "corpus"
+    shutil.copytree(podcast_dir, corpus)
+    wav = corpus / "real-0002.wav"
+    blob = wav.read_bytes()
+    wav.write_bytes(blob[:24] + (4294967291).to_bytes(4, "little") + blob[28:])
+    argv = [command, "--manifest", str(corpus / "manifest.csv"), "--out", str(tmp_path / "out")]
+    argv += ["--epochs", "1"] if command == "train-breath" else ["--model", str(model_path)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if command == "detect":
+        errors = json.loads((tmp_path / "out" / "detect_report.json").read_text())["errors"]
+        assert list(errors) == ["real-0002"] and "sample rate" in errors["real-0002"]
+    else:
+        assert err.startswith("error:") and "sample rate" in err
+
+
+def test_train_breath_and_test3_on_synth_fakes(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--seed", "3", "--real", "2", "--fake", "2",
+                 "--duration-ms", "4000", "--speakers", "2"]) == 0
+    manifest = str(corpus / "manifest.csv")
+    assert main(["train-breath", "--manifest", manifest, "--out", str(tmp_path / "train"),
+                 "--epochs", "1", "--lstm-units", "4"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--experiment", "test3", "--manifest", manifest, "--out", str(tmp_path / "t3"),
+                 "--epochs", "1", "--lstm-units", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fake-0000" in err and "fake-0001" in err and "real-0000" not in err
+
+
 def test_evaluate_pipeline_needs_a_detector(tmp_path, news_dir, capsys):
     rc = main(["evaluate", "--experiment", "pipeline",
                "--manifest", str(news_dir / "manifest.csv"), "--out", str(tmp_path / "x")])
@@ -280,8 +337,10 @@ def test_config_file_alone_picks_experiment_and_classifier(tmp_path, news_dir, d
     ("evaluate", []),
     ("train-breath", ["--lstm-units", "1000000"]),
     ("evaluate", ["--experiment", "pipeline", "--seed", "-1"]),
+    ("evaluate", ["--experiment", "pipeline", "--svc-coef0", "nan"]),
+    ("evaluate", ["--experiment", "pipeline", "--podcast-manifest", "podcasts.csv"]),
 ], ids=["batch size 0", "window nan", "min breath nan", "workers 0", "no experiment", "huge lstm",
-        "pipeline seed -1"])
+        "pipeline seed -1", "svc coef0 nan", "two detectors"])
 def test_bad_setting_exits_2(tmp_path, podcast_dir, detector, capsys, command, extra):
     _, model_path = detector
     argv = [command, "--manifest", str(podcast_dir / "manifest.csv"), "--out", str(tmp_path / "out")]

@@ -7,16 +7,14 @@ import numpy as np
 import pytest
 
 from breathline.errors import ConfigError, InputError, ValidationError
+from breathline import evaluation
 from breathline.evaluation import (
-    Corpus,
-    CorpusItem,
     ExperimentResult,
     SplitPlan,
     detect_manifest,
     digest_config,
     digest_model_params,
     fold_seed,
-    load_sample_corpus,
     outlet_disjoint_split,
     parse_experiment_config,
     run_pipeline_eval,
@@ -24,6 +22,7 @@ from breathline.evaluation import (
 from breathline.evaluation import test1_contiguous_kfold as contiguous_kfold
 from breathline.evaluation import test2_leave_one_podcast as leave_one_podcast
 from breathline.evaluation import test3_leave_one_speaker as leave_one_speaker
+from breathline.manifest import load_manifest
 from breathline.nn import BreathDetectorModel, ModelConfig, TrainConfig, train
 from breathline.postprocess import DetectionConfig
 
@@ -35,22 +34,6 @@ def test_fold_seed_is_distinct_per_fold():
     assert fold_seed(0, 0) == 1
     seeds = [fold_seed(7, i) for i in range(10)]
     assert len(set(seeds)) == 10
-
-
-def test_corpus_validation():
-    item = CorpusItem(id="a", speaker_id="spk0")
-    with pytest.raises(ValidationError, match="unique"):
-        Corpus([item, CorpusItem(id="a", speaker_id="spk1")], "podcast")
-    with pytest.raises(ValidationError, match="speaker_id"):
-        Corpus([CorpusItem(id="b")], "podcast")
-    with pytest.raises(ValidationError, match="outlet"):
-        Corpus([CorpusItem(id="b")], "news")
-    with pytest.raises(ConfigError):
-        Corpus([item], "interview")
-    corpus = Corpus([item], "podcast")
-    assert corpus.item("a") is item
-    with pytest.raises(InputError):
-        corpus.item("missing")
 
 
 def test_config_digest_is_stable():
@@ -109,16 +92,28 @@ def test_test2_one_fold_per_podcast(frame_corpus):
     assert result.fold_labels == [item.id for item in frame_corpus]
     assert len(result.values) == len(frame_corpus)
 
-    solo = Corpus([frame_corpus.items[0]], "podcast")
     with pytest.raises(ConfigError, match="at least 2"):
-        leave_one_podcast(solo, FAST_MODEL, FAST_TRAIN)
+        leave_one_podcast(frame_corpus[:1], FAST_MODEL, FAST_TRAIN)
+
+
+def test_test2_holds_out_by_position(frame_corpus, monkeypatch):
+    # a second item with the same id is still its own fold
+    trained_on = []
+
+    def record(pairs, model_config, train_config, seed):
+        trained_on.append(len(pairs))
+        return BreathDetectorModel(model_config)
+
+    monkeypatch.setattr(evaluation, "_train_fold_detector", record)
+    items = frame_corpus + [dataclasses.replace(frame_corpus[0])]
+    result = leave_one_podcast(items, FAST_MODEL, FAST_TRAIN)
+    assert trained_on == [len(items) - 1] * len(items)
+    assert result.fold_labels == [item.id for item in items]
 
 
 def test_test2_duplicate_podcast_scores_at_least_mean(frame_corpus):
-    base = frame_corpus.items
-    twin = dataclasses.replace(base[0], id="twin")
-    corpus = Corpus(base + [twin], "podcast")
-    result = leave_one_podcast(corpus, FAST_MODEL, TrainConfig(epochs=6, seed=0), seed=2)
+    twin = dataclasses.replace(frame_corpus[0], id="twin")
+    result = leave_one_podcast(frame_corpus + [twin], FAST_MODEL, TrainConfig(epochs=6, seed=0), seed=2)
     twin_value = result.values[result.fold_labels.index("twin")]
     assert twin_value >= result.mean - 1e-12
 
@@ -129,36 +124,54 @@ def test_test3_one_fold_per_speaker(frame_corpus):
     assert result.fold_labels == speakers
     assert len(result.values) == len(speakers)
 
-    mono = Corpus(
-        [dataclasses.replace(item, speaker_id="only") for item in frame_corpus.items], "podcast"
-    )
+    mono = [dataclasses.replace(item, speaker_id="only") for item in frame_corpus]
     with pytest.raises(ConfigError, match="at least 2"):
         leave_one_speaker(mono, FAST_MODEL, FAST_TRAIN)
 
 
+def test_test3_names_every_item_without_a_speaker(frame_corpus):
+    items = [dataclasses.replace(item, speaker_id=None) if i != 1 else item for i, item in enumerate(frame_corpus)]
+    with pytest.raises(InputError) as exc:
+        leave_one_speaker(items, FAST_MODEL, FAST_TRAIN)
+    message = str(exc.value)
+    assert frame_corpus[0].id in message and frame_corpus[2].id in message
+    assert frame_corpus[1].id not in message
+
+
 def test_outlet_split_two_by_two(news_dir):
-    corpus = load_sample_corpus(news_dir / "manifest.csv")
-    split = outlet_disjoint_split(corpus, seed=4)
+    entries = load_manifest(news_dir / "manifest.csv")
+    split = outlet_disjoint_split(entries, seed=4)
     assert not set(split.train_ids) & set(split.test_ids)
     assert not set(split.train_outlets) & set(split.test_outlets)
     # 2 real + 2 fake outlets: each side gets one of each
-    labels = {item.outlet: item.label for item in corpus}
+    labels = {entry.outlet: entry.label for entry in entries}
     for side in (split.train_outlets, split.test_outlets):
         assert len(side) == 2
         assert {labels[o] for o in side} == {"real", "fake"}
-    assert set(split.train_ids) | set(split.test_ids) == {item.id for item in corpus}
+    assert set(split.train_ids) | set(split.test_ids) == {entry.id for entry in entries}
+    # each side keeps the manifest's order
+    order = [entry.id for entry in entries]
+    assert split.train_ids == [i for i in order if i in split.train_ids]
+    assert split.test_ids == [i for i in order if i in split.test_ids]
 
-    again = outlet_disjoint_split(corpus, seed=4)
+    again = outlet_disjoint_split(entries, seed=4)
     assert (again.train_ids, again.test_ids) == (split.train_ids, split.test_ids)
 
 
 def test_outlet_split_needs_two_outlets(news_dir):
-    corpus = load_sample_corpus(news_dir / "manifest.csv")
-    mono = Corpus(
-        [dataclasses.replace(i, outlet="one") for i in corpus.items], "news"
-    )
+    mono = [dataclasses.replace(e, outlet="one") for e in load_manifest(news_dir / "manifest.csv")]
     with pytest.raises(ConfigError):
         outlet_disjoint_split(mono)
+
+
+def test_outlet_split_names_every_unlabeled_entry(news_dir):
+    entries = load_manifest(news_dir / "manifest.csv")
+    # a whole outlet of unlabeled entries, and one inside a real outlet
+    unlabeled = [e.id for e in entries if e.outlet == "tts0"] + [entries[0].id]
+    entries = [dataclasses.replace(e, label="unlabeled") if e.id in unlabeled else e for e in entries]
+    with pytest.raises(InputError) as exc:
+        outlet_disjoint_split(entries)
+    assert all(i in str(exc.value) for i in unlabeled)
 
 
 def test_split_plan_rejects_overlap():
@@ -171,57 +184,58 @@ def test_split_plan_rejects_overlap():
         )
 
 
-def _news_stats(model, news_dir):
+def _news_rows(model, news_dir):
     rows, errors = detect_manifest(model, news_dir / "manifest.csv", DetectionConfig())
     assert errors == {}
-    return {entry.id: stats for entry, _, stats in rows}
+    return rows
+
+
+def _news_split(news_dir):
+    return outlet_disjoint_split(load_manifest(news_dir / "manifest.csv"), seed=0)
 
 
 def test_pipeline_eval_threshold(news_dir, detector):
     model, _ = detector
-    corpus = load_sample_corpus(news_dir / "manifest.csv")
-    split = outlet_disjoint_split(corpus, seed=0)
-    stats = _news_stats(model, news_dir)
-    result = run_pipeline_eval(corpus, split, "threshold", stats, model)
+    split = _news_split(news_dir)
+    rows = _news_rows(model, news_dir)
+    result = run_pipeline_eval(rows, split, "threshold", model, dataset_id="manifest.csv")
     report = result.report
+    assert report.dataset_id == "manifest.csv"
     assert report.positive_label == "real"
     assert report.num_samples == len(split.test_ids)
     assert report.auprc is None and result.scored is None
     assert set(result.predictions) == set(split.test_ids)
     assert report.extra["outlet_overlap"] == 0
     assert report.extra["train_size"] == len(split.train_ids)
-    assert len(stats) == len(split.train_ids) + len(split.test_ids)
+    assert len(rows) == len(split.train_ids) + len(split.test_ids)
     point = report.point
     assert point.tp + point.fp + point.tn + point.fn == report.num_samples
 
 
 def test_pipeline_eval_svc_tree_and_kwargs(news_dir, detector):
     model, _ = detector
-    corpus = load_sample_corpus(news_dir / "manifest.csv")
-    split = outlet_disjoint_split(corpus, seed=0)
-    stats = _news_stats(model, news_dir)
-    first = run_pipeline_eval(corpus, split, "svc", stats, model, classifier_kwargs={"coef0": 1.0})
+    split = _news_split(news_dir)
+    rows = _news_rows(model, news_dir)
+    first = run_pipeline_eval(rows, split, "svc", model, classifier_kwargs={"coef0": 1.0})
     assert first.scored is not None
     assert first.report.auprc is not None and first.report.eer is not None
 
-    default = run_pipeline_eval(corpus, split, "svc", stats, model)
+    default = run_pipeline_eval(rows, split, "svc", model)
     assert default.report.config_digest != first.report.config_digest
 
-    tree = run_pipeline_eval(corpus, split, "tree", stats, model)
+    tree = run_pipeline_eval(rows, split, "tree", model)
     assert tree.scored is not None and tree.classifier_model is not None
 
     with pytest.raises(ConfigError):
-        run_pipeline_eval(corpus, split, "forest", stats, model)
+        run_pipeline_eval(rows, split, "forest", model)
 
 
 def test_pipeline_eval_needs_stats_for_every_split_id(news_dir, detector):
     model, _ = detector
-    corpus = load_sample_corpus(news_dir / "manifest.csv")
-    split = outlet_disjoint_split(corpus, seed=0)
-    stats = _news_stats(model, news_dir)
-    del stats[split.test_ids[0]]
+    split = _news_split(news_dir)
+    rows = [row for row in _news_rows(model, news_dir) if row[0].id != split.test_ids[0]]
     with pytest.raises(InputError, match=split.test_ids[0]):
-        run_pipeline_eval(corpus, split, "threshold", stats, model)
+        run_pipeline_eval(rows, split, "threshold", model)
 
 
 def test_detect_manifest_collects_every_failure(tmp_path, news_dir, detector):

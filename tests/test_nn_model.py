@@ -25,7 +25,7 @@ SMALL = ModelConfig(
 
 def test_default_config_shapes():
     cfg = ModelConfig()
-    assert cfg.frames_per_step == 20 and cfg.steps_per_chunk == 40
+    assert cfg.frames_per_step == 20 and cfg.chunk_frames // cfg.frames_per_step == 40
     model = BreathDetectorModel(cfg)
     x = np.random.default_rng(0).normal(size=(2, 800, 130))
     y = model.forward(x)
