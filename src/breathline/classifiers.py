@@ -18,14 +18,18 @@ from typing import Optional
 import numpy as np
 
 from .breath_stats import BreathStats
-from .container import header_fields, read_container, write_container
-from .errors import ConfigError, FormatError, TrainingError, ValidationError
+from .container import write_container
+from .errors import ConfigError, TrainingError, ValidationError
 
 STAT_FEATURES = ("avg_breaths_per_minute", "avg_breath_duration_ms", "avg_spacing_ms")
 
 SVC_MAGIC = b"BLSV"
 SVC_VERSION = 1
 TREE_VERSION = 1
+
+# the SVC's polynomial kernel degree and its iteration budget
+SVC_DEGREE = 2
+SVC_MAX_ITER = 200000
 
 
 @dataclass(frozen=True)
@@ -77,11 +81,6 @@ class SvcModel:
     dual_objective: float = 0.0
     kkt_gap: float = 0.0
 
-    def decision_value(self, x_raw: np.ndarray) -> float:
-        z = (np.asarray(x_raw, dtype=np.float64) - self.scaler_mean) / self.scaler_scale
-        k = poly_kernel(self.support_vectors, z[None, :], self.gamma, self.coef0, self.degree)
-        return float(self.dual_coef @ k[:, 0] + self.bias)
-
 
 def _fit_scaler(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = x.mean(axis=0)
@@ -90,14 +89,23 @@ def _fit_scaler(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, scale
 
 
+def check_svc_hyperparameters(C: float = 1.0, gamma: Optional[float] = None, coef0: float = 0.0) -> None:
+    """ConfigError unless C and a set gamma are positive and finite and
+    coef0 is finite."""
+    if not 0 < C < math.inf:
+        raise ConfigError(f"C must be positive and finite, got {C}")
+    if not math.isfinite(coef0):
+        raise ConfigError(f"coef0 must be finite, got {coef0}")
+    if gamma is not None and not 0 < gamma < math.inf:
+        raise ConfigError(f"gamma must be positive and finite, got {gamma}")
+
+
 def svc_train(
     samples: list[LabeledSample],
     C: float = 1.0,
     gamma: Optional[float] = None,
     coef0: float = 0.0,
-    degree: int = 2,
     tol: float = 1e-6,
-    max_iter: int = 200000,
 ) -> SvcModel:
     """Train a C-SVC by repeatedly optimizing the most-violating pair.
 
@@ -108,12 +116,7 @@ def svc_train(
     standardized first; gamma defaults to 1 / (num_features * variance
     of the standardized matrix).
     """
-    if not 0 < C < math.inf:
-        raise ConfigError(f"C must be positive and finite, got {C}")
-    if not math.isfinite(coef0):
-        raise ConfigError(f"coef0 must be finite, got {coef0}")
-    if gamma is not None and not 0 < gamma < math.inf:
-        raise ConfigError(f"gamma must be positive and finite, got {gamma}")
+    check_svc_hyperparameters(C, gamma, coef0)
     x_raw, y = _samples_to_xy(samples)
     if len(set(y)) < 2:
         raise TrainingError("SVC training needs at least one sample of each class")
@@ -124,13 +127,13 @@ def svc_train(
         gamma = 1.0 / (x.shape[1] * var) if var > 0 else 1.0 / x.shape[1]
 
     n = len(y)
-    kmat = poly_kernel(x, x, gamma, coef0, degree)
+    kmat = poly_kernel(x, x, gamma, coef0, SVC_DEGREE)
     q = (y[:, None] * y[None, :]) * kmat
     alpha = np.zeros(n)
     g = -np.ones(n)  # gradient of the dual objective at alpha = 0
     eps = 1e-12
 
-    for _ in range(max_iter):
+    for _ in range(SVC_MAX_ITER):
         up = ((y > 0) & (alpha < C - eps)) | ((y < 0) & (alpha > eps))
         low = ((y > 0) & (alpha > eps)) | ((y < 0) & (alpha < C - eps))
         neg_yg = -y * g
@@ -155,7 +158,7 @@ def svc_train(
         alpha[i], alpha[j] = new_i, new_j
         g += q[:, i] * delta_i + q[:, j] * delta_j
     else:
-        raise TrainingError(f"SVC did not converge within {max_iter} iterations")
+        raise TrainingError(f"SVC did not converge within {SVC_MAX_ITER} iterations")
 
     free = (alpha > eps) & (alpha < C - eps)
     if np.any(free):
@@ -169,7 +172,7 @@ def svc_train(
         bias=bias,
         gamma=gamma,
         coef0=coef0,
-        degree=degree,
+        degree=SVC_DEGREE,
         C=C,
         scaler_mean=mean,
         scaler_scale=scale,
@@ -180,7 +183,9 @@ def svc_train(
 
 def svc_score(model: SvcModel, stats: BreathStats) -> float:
     """Signed decision value; positive side is real."""
-    return model.decision_value(stats.as_array())
+    z = (stats.as_array() - model.scaler_mean) / model.scaler_scale
+    k = poly_kernel(model.support_vectors, z[None, :], model.gamma, model.coef0, model.degree)
+    return float(model.dual_coef @ k[:, 0] + model.bias)
 
 
 def svc_classify(model: SvcModel, stats: BreathStats) -> str:
@@ -188,8 +193,7 @@ def svc_classify(model: SvcModel, stats: BreathStats) -> str:
 
 
 _SVC_ARRAYS = ("support_vectors", "dual_coef", "scaler_mean", "scaler_scale")
-_SVC_SCALARS = {"C": float, "gamma": float, "coef0": float, "degree": int, "bias": float,
-                "dual_objective": float, "kkt_gap": float}
+_SVC_SCALARS = ("C", "gamma", "coef0", "degree", "bias", "dual_objective", "kkt_gap")
 
 
 def save_svc(path, model: SvcModel) -> None:
@@ -198,18 +202,6 @@ def save_svc(path, model: SvcModel) -> None:
     header = {"version": SVC_VERSION, "type": "svc"}
     header.update({name: getattr(model, name) for name in _SVC_SCALARS})
     write_container(path, SVC_MAGIC, header, {name: getattr(model, name) for name in _SVC_ARRAYS}, "<f8")
-
-
-def load_svc(path) -> SvcModel:
-    header, arrays = read_container(path, SVC_MAGIC, SVC_VERSION, "<f8")
-    if header.get("type") != "svc":
-        raise FormatError(f"{path}: unsupported SVC model header")
-    if set(arrays) != set(_SVC_ARRAYS):
-        raise FormatError(f"{path}: SVC arrays must be {sorted(_SVC_ARRAYS)}, got {sorted(arrays)}")
-    sv, coef, mean, scale = (arrays[name] for name in _SVC_ARRAYS)
-    if sv.ndim != 2 or coef.shape != sv.shape[:1] or not mean.shape == scale.shape == sv.shape[1:]:
-        raise FormatError(f"{path}: inconsistent SVC array shapes")
-    return SvcModel(**arrays, **header_fields(path, header, _SVC_SCALARS))
 
 
 # --- decision tree ---
@@ -232,7 +224,6 @@ class TreeNode:
 class TreeModel:
     root: TreeNode
     max_depth: int
-    feature_names: tuple[str, ...] = STAT_FEATURES
 
 
 def _gini(n_real: int, n_fake: int) -> float:
@@ -319,42 +310,15 @@ def _node_to_dict(node: TreeNode) -> dict:
     return out
 
 
-def _node_from_dict(data: dict) -> TreeNode:
-    counts = tuple(data["counts"])
-    if "feature" not in data:
-        return TreeNode(counts=counts)
-    return TreeNode(
-        counts=counts,
-        feature=data["feature"],
-        threshold=data["threshold"],
-        left=_node_from_dict(data["left"]),
-        right=_node_from_dict(data["right"]),
-    )
-
-
 def save_tree(path, model: TreeModel) -> None:
     doc = {
         "version": TREE_VERSION,
         "type": "tree",
         "max_depth": model.max_depth,
-        "feature_names": list(model.feature_names),
+        "feature_names": list(STAT_FEATURES),
         "root": _node_to_dict(model.root),
     }
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True, indent=2)
         f.write("\n")
 
-
-def load_tree(path) -> TreeModel:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: bad tree model JSON: {exc}") from exc
-    if doc.get("version") != TREE_VERSION or doc.get("type") != "tree":
-        raise FormatError(f"{path}: unsupported tree model header")
-    return TreeModel(
-        root=_node_from_dict(doc["root"]),
-        max_depth=doc["max_depth"],
-        feature_names=tuple(doc["feature_names"]),
-    )

@@ -34,7 +34,7 @@ from . import __version__
 from .annotations import save_annotations
 from .audio_io import write_wav
 from .breath_stats import save_stats_csv
-from .classifiers import save_svc, save_tree
+from .classifiers import check_svc_hyperparameters, save_svc, save_tree
 from .errors import BreathlineError, ConfigError, InputError
 from .evaluation import (
     _EXPERIMENT_KEYS,
@@ -86,11 +86,15 @@ def _ensure_out(args) -> str:
     return args.out
 
 
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as f:
+        json.dump(doc, f, sort_keys=True, indent=2)
+        f.write("\n")
+
+
 def _write_meta(out_dir: str, seed: int, config_obj) -> None:
     meta = {"tool_version": __version__, "config_digest": digest_config(config_obj), "seed": seed}
-    with open(os.path.join(out_dir, "meta.json"), "w") as f:
-        json.dump(meta, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(os.path.join(out_dir, "meta.json"), meta)
 
 
 def _write_run_log(out_dir: str, argv) -> None:
@@ -196,7 +200,6 @@ def cmd_synth(args) -> int:
         save_annotations(os.path.join(out, entry.annotation_path), intervals)
     save_manifest(os.path.join(out, "manifest.csv"), entries)
     _write_meta(out, args.seed, {"command": "synth", "configs": [dataclasses.asdict(c) for c in configs]})
-    _write_run_log(out, sys.argv[1:])
     log.info("synthesized %d files into %s", len(entries), out)
     return 0
 
@@ -216,11 +219,8 @@ def cmd_train_breath(args) -> int:
         "model_config": dataclasses.asdict(model.config),
         "train_config": dataclasses.asdict(train_cfg),
     }
-    with open(os.path.join(out, "training_report.json"), "w") as f:
-        json.dump(report, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(os.path.join(out, "training_report.json"), report)
     _write_meta(out, train_cfg.seed, {"command": "train-breath", "report": report})
-    _write_run_log(out, sys.argv[1:])
     return 0
 
 
@@ -243,12 +243,9 @@ def cmd_detect(args) -> int:
         "detection_config": dataclasses.asdict(detection),
         "feature_config": dataclasses.asdict(model.config.features),
     }
-    with open(os.path.join(out, "detect_report.json"), "w") as f:
-        json.dump(report, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(os.path.join(out, "detect_report.json"), report)
     # detect draws no random numbers; meta.json records the seed setting all the same
     _write_meta(out, settings.get("seed", TrainConfig.seed), {"command": "detect", "report": report})
-    _write_run_log(out, sys.argv[1:])
     if not rows:
         log.error("all %d files failed", len(errors))
         return 1
@@ -262,9 +259,7 @@ def _evaluate_frames(args, settings: dict, out: str) -> int:
     names = ("iterations", "seed") if experiment == "test1" else ("seed",)
     result = _FRAME_TESTS[experiment](items, model_config, train_cfg, **_present(settings, *names))
     doc = result.to_dict()
-    with open(os.path.join(out, f"experiment_{result.experiment}.json"), "w") as f:
-        json.dump(doc, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(os.path.join(out, f"experiment_{result.experiment}.json"), doc)
     save_svg(
         os.path.join(out, f"experiment_{result.experiment}.svg"),
         render_box_plot([(result.experiment, result.values)], "Held-out breath AUPRC", "AUPRC"),
@@ -278,6 +273,12 @@ def _evaluate_pipeline(args, settings: dict, out: str) -> int:
     classifier = settings.get("classifier", "svc")  # the library has no default classifier
     if (args.model is None) == (args.podcast_manifest is None):
         raise ConfigError("pipeline evaluation needs exactly one of --model or --podcast-manifest")
+    classifier_kwargs = {}
+    if args.svc_coef0 is not None:
+        if classifier != "svc":
+            raise ConfigError(f"--svc-coef0 applies only to the svc classifier, not {classifier}")
+        classifier_kwargs["coef0"] = args.svc_coef0
+        check_svc_hyperparameters(**classifier_kwargs)
     entries = load_manifest(args.manifest)
     split = outlet_disjoint_split(entries, **_present(settings, "seed"))
     if args.model is not None:
@@ -295,9 +296,6 @@ def _evaluate_pipeline(args, settings: dict, out: str) -> int:
         failures = "; ".join(f"{file_id}: {message}" for file_id, message in errors.items())
         raise InputError(f"detection failed for {len(errors)} of {len(entries)} files: {failures}")
     stats = {entry.id: s for entry, _, s in rows}
-    classifier_kwargs = {}
-    if classifier == "svc" and args.svc_coef0 is not None:
-        classifier_kwargs["coef0"] = args.svc_coef0
     result = run_pipeline_eval(
         rows, split, classifier, detector, detection, classifier_kwargs, os.path.basename(args.manifest)
     )
@@ -333,11 +331,8 @@ def cmd_evaluate(args) -> int:
     if "experiment" not in settings:
         raise ConfigError("evaluate needs --experiment or an 'experiment' key in --config")
     if settings["experiment"] == "pipeline":
-        code = _evaluate_pipeline(args, settings, out)
-    else:
-        code = _evaluate_frames(args, settings, out)
-    _write_run_log(out, sys.argv[1:])
-    return code
+        return _evaluate_pipeline(args, settings, out)
+    return _evaluate_frames(args, settings, out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run generalizability tests or the pipeline evaluation")
     _add_flags(p, "experiment", "iterations", "classifier", *_FEATURE_SETTINGS, *_DETECT_SETTINGS, *_TRAIN_SETTINGS)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--svc-coef0", dest="svc_coef0", type=float, default=None, help="polynomial kernel coef0 override")
+    p.add_argument("--svc-coef0", dest="svc_coef0", type=float, default=None, help="polynomial kernel coef0 of the svc classifier")
     p.add_argument("--model", default=None, help="pretrained detector for pipeline evaluation")
     p.add_argument("--podcast-manifest", dest="podcast_manifest", default=None)
     p.set_defaults(func=cmd_evaluate)
@@ -382,9 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        _write_run_log(args.out, argv)
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,5 @@
 """The binary container behind the detector (`BLNN`) and SVC (`BLSV`)
-files.
+files; only `BLNN` files are read back.
 
 Layout: a 4-byte magic, a little-endian uint32 header length, a
 sorted-keys UTF-8 JSON header object, then the payload. The header's
@@ -22,7 +22,7 @@ _LENGTH = struct.Struct("<I")
 _PREFIX = 4 + _LENGTH.size
 
 # what each magic is called in error messages
-_KINDS = {b"BLNN": "model", b"BLSV": "SVC model"}
+_KINDS = {b"BLNN": "model"}
 
 
 def write_container(path, magic: bytes, header: dict, tensors: dict, dtype: str) -> None:

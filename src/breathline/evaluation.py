@@ -100,8 +100,6 @@ class ExperimentResult:
 
 def digest_config(obj) -> str:
     """Short stable digest of a JSON-representable object."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = dataclasses.asdict(obj)
     blob = json.dumps(obj, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -137,7 +135,7 @@ def _pooled_frame_auprc(model: BreathDetectorModel, pairs: list[tuple[np.ndarray
     for features, labels in pairs:
         scores.append(model.predict_file(features))
         truths.append(steps_from_frames(labels, model.config.frames_per_step))
-    pooled = ScoredPredictions(np.concatenate(scores), np.concatenate(truths), "breath")
+    pooled = ScoredPredictions(np.concatenate(scores), np.concatenate(truths))
     return auprc(pooled)
 
 
@@ -315,7 +313,6 @@ def detect_manifest(
 class PipelineResult:
     report: EvalReport
     scored: Optional[ScoredPredictions]
-    predictions: dict[str, str]
     classifier_model: object = None
 
 
@@ -364,15 +361,14 @@ def run_pipeline_eval(
             predict = lambda s: tree_classify(model, s)
             scores = [tree_score(model, stats[i]) for i in split.test_ids]
 
-    predictions = {i: predict(stats[i]) for i in split.test_ids}
     truths = np.array([labels[i] == "real" for i in split.test_ids])
-    predicted = np.array([predictions[i] == "real" for i in split.test_ids])
+    predicted = np.array([predict(stats[i]) == "real" for i in split.test_ids])
     point = point_metrics(predicted, truths)
 
     scored = None
     auprc_value = eer_value = None
     if scores is not None:
-        scored = ScoredPredictions(np.array(scores), truths, "real", list(split.test_ids))
+        scored = ScoredPredictions(np.array(scores), truths, list(split.test_ids))
         auprc_value = auprc(scored)
         eer_value = eer(scored)
 
@@ -404,7 +400,7 @@ def run_pipeline_eval(
             "outlet_overlap": len(set(split.train_outlets) & set(split.test_outlets)),
         },
     )
-    return PipelineResult(report, scored, predictions, model)
+    return PipelineResult(report, scored, model)
 
 
 def load_frame_corpus(manifest_path, feature_config: FeatureConfig = FeatureConfig()) -> list[CorpusItem]:

@@ -62,7 +62,6 @@ class FeatureMatrix:
 
     data: np.ndarray
     config: FeatureConfig
-    sample_rate: int
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float32)
@@ -74,10 +73,6 @@ class FeatureMatrix:
     @property
     def num_frames(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
 
 
 def _frames(samples: np.ndarray, window: int, hop: int) -> np.ndarray:
@@ -160,5 +155,5 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig = FeatureConfig(
     frames = _frames(buffer.samples, window, hop)
     mel = mel_spectrogram_db(frames, config.n_mels, buffer.sample_rate)
     data = np.column_stack([mel, zcr(frames), rmse_db(frames)])
-    return FeatureMatrix(data.astype(np.float32), config, buffer.sample_rate)
+    return FeatureMatrix(data.astype(np.float32), config)
 

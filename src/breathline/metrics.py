@@ -26,7 +26,6 @@ class ScoredPredictions:
 
     scores: np.ndarray
     truths: np.ndarray
-    positive_label: str = "positive"
     ids: Optional[list[str]] = None
 
     def __post_init__(self):

@@ -14,6 +14,10 @@ from scipy.special import expit
 
 from ..errors import ConfigError, ShapeError, TrainingError
 
+# BatchNorm1D's variance floor and running-estimate momentum
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.9
+
 
 class Layer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -101,9 +105,7 @@ class BatchNorm1D(Layer):
     Training uses batch statistics and updates the running estimates;
     inference uses the running estimates."""
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9):
-        self.eps = eps
-        self.momentum = momentum
+    def __init__(self, channels: int):
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
@@ -124,13 +126,13 @@ class BatchNorm1D(Layer):
         if training:
             mean = x.mean(axis=(0, 1))
             var = x.var(axis=(0, 1))
-            inv_std = 1.0 / np.sqrt(var + self.eps)
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat = (x - mean) * inv_std
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
+            self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
             self._cache = (xhat, inv_std)
         else:
-            xhat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
+            xhat = (x - self.running_mean) / np.sqrt(self.running_var + BN_EPS)
         return self.gamma * xhat + self.beta
 
     def backward(self, grad):

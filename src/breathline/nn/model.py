@@ -26,6 +26,9 @@ MODEL_VERSION = 2
 # probabilities are clipped into the open interval (0, 1)
 PROB_EPS = 1e-12
 
+# chunks per inference forward in predict_file
+BATCH_CHUNKS = 32
+
 # far above the default detector (about 17k parameters, 104k values per
 # chunk): an oversized config is a ConfigError, not a failed allocation
 MAX_PARAMETERS = 10_000_000
@@ -183,7 +186,7 @@ class BreathDetectorModel:
             g = layer.backward(g)
         return g
 
-    def predict_file(self, features: np.ndarray, batch_chunks: int = 32) -> np.ndarray:
+    def predict_file(self, features: np.ndarray) -> np.ndarray:
         """Score a whole file of feature frames.
 
         The file is cut into chunk_frames-long chunks, the last chunk
@@ -202,8 +205,8 @@ class BreathDetectorModel:
         padded[:num_frames] = features
         chunks = padded.reshape(num_chunks, chunk, self.config.input_dim)
         outputs = [
-            self.forward(chunks[i : i + batch_chunks])
-            for i in range(0, num_chunks, batch_chunks)
+            self.forward(chunks[i : i + BATCH_CHUNKS])
+            for i in range(0, num_chunks, BATCH_CHUNKS)
         ]
         steps = -(-num_frames // self.config.frames_per_step)
         return np.concatenate(outputs).reshape(-1)[:steps]

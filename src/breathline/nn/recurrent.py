@@ -31,7 +31,6 @@ class _LSTMDirection:
         c = np.zeros((batch, units))
         hs = np.empty((time, batch, units))
         gates = np.empty((time, batch, 4 * units))
-        cs = np.empty((time, batch, units))
         c_prevs = np.empty((time, batch, units))
         tanh_cs = np.empty((time, batch, units))
         for t in range(time):
@@ -45,7 +44,6 @@ class _LSTMDirection:
             tc = np.tanh(c)
             h = o * tc
             gates[t] = np.concatenate([i, f, g, o], axis=1)
-            cs[t] = c
             tanh_cs[t] = tc
             hs[t] = h
         if training:

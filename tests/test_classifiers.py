@@ -1,14 +1,17 @@
 """Thresholding rule, polynomial-kernel SVC, and the CART tree."""
 
+import json
+
 import numpy as np
 import pytest
 from oracles import exhaustive_best_split, qp_dual_solve
 
 from breathline.breath_stats import BreathStats
 from breathline.classifiers import (
+    STAT_FEATURES,
+    SVC_MAGIC,
+    SVC_VERSION,
     LabeledSample,
-    load_svc,
-    load_tree,
     poly_kernel,
     save_svc,
     save_tree,
@@ -20,7 +23,8 @@ from breathline.classifiers import (
     tree_score,
     tree_train,
 )
-from breathline.errors import ConfigError, FormatError, TrainingError, ValidationError
+from breathline.container import read_container
+from breathline.errors import ConfigError, TrainingError, ValidationError
 
 
 def _sample(i, label, values):
@@ -138,25 +142,17 @@ def test_svc_rejects_bad_hyperparameters(kwargs):
 
 
 def test_svc_container_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    samples = _cluster_dataset(rng)
-    model = svc_train(samples, C=1.0)
+    model = svc_train(_cluster_dataset(np.random.default_rng(2)), C=1.0)
     path = tmp_path / "svc.bin"
     save_svc(path, model)
-    back = load_svc(path)
-    for s in samples:
-        assert svc_score(back, s.stats) == svc_score(model, s.stats)
-    assert back.C == model.C and back.gamma == model.gamma and back.bias == model.bias
-
-    raw = path.read_bytes()
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(FormatError):
-        load_svc(bad)
-    trunc = tmp_path / "trunc.bin"
-    trunc.write_bytes(raw[:-8])
-    with pytest.raises(FormatError):
-        load_svc(trunc)
+    header, arrays = read_container(path, SVC_MAGIC, SVC_VERSION, "<f8")
+    scalars = ("C", "gamma", "coef0", "degree", "bias", "dual_objective", "kkt_gap")
+    assert header == {"version": SVC_VERSION, "type": "svc", **{name: getattr(model, name) for name in scalars}}
+    assert header["degree"] == 2
+    assert sorted(arrays) == ["dual_coef", "scaler_mean", "scaler_scale", "support_vectors"]
+    for name, array in arrays.items():
+        expected = np.asarray(getattr(model, name), dtype=np.float64)
+        assert array.shape == expected.shape and array.tobytes() == expected.tobytes()
 
 
 def _depth(node):
@@ -239,26 +235,27 @@ def test_tree_beats_single_feature_threshold():
         assert (preds == labels).mean() >= _stump_accuracy(x, labels) - 1e-12
 
 
+def _assert_same_node(doc, node):
+    assert doc["counts"] == list(node.counts)
+    if node.is_leaf:
+        assert set(doc) == {"counts"}
+    else:
+        assert set(doc) == {"counts", "feature", "threshold", "left", "right"}
+        assert doc["feature"] == node.feature and doc["threshold"] == node.threshold
+        _assert_same_node(doc["left"], node.left)
+        _assert_same_node(doc["right"], node.right)
+
+
 def test_tree_json_roundtrip(tmp_path):
-    rng = np.random.default_rng(6)
-    samples = _cluster_dataset(rng)
-    model = tree_train(samples)
+    model = tree_train(_cluster_dataset(np.random.default_rng(6)))
+    assert not model.root.is_leaf
     path = tmp_path / "tree.json"
     save_tree(path, model)
-    back = load_tree(path)
-    for s in samples:
-        assert tree_score(back, s.stats) == tree_score(model, s.stats)
-    assert back.max_depth == model.max_depth
-    assert back.feature_names == model.feature_names
-
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(FormatError):
-        load_tree(bad)
-    wrong = tmp_path / "wrong.json"
-    wrong.write_text('{"version": 99, "type": "tree"}')
-    with pytest.raises(FormatError):
-        load_tree(wrong)
+    doc = json.loads(path.read_text())
+    assert {k: v for k, v in doc.items() if k != "root"} == {
+        "version": 1, "type": "tree", "max_depth": model.max_depth, "feature_names": list(STAT_FEATURES),
+    }
+    _assert_same_node(doc["root"], model.root)
 
 
 def test_tree_needs_samples():

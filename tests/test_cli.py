@@ -49,6 +49,14 @@ def test_synth_writes_corpus_and_is_reproducible(tmp_path):
     assert _digests(a) == _digests(b)
 
 
+def test_run_log_records_the_parsed_arguments(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host-program", "--some-host-flag"])
+    argv = ["synth", "--real", "1", "--fake", "0", "--duration-ms", "2000", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = (tmp_path / "run.log").read_text().splitlines()
+    assert lines[1] == "args: " + " ".join(argv)
+
+
 def test_synth_infeasible_config_exits_2(tmp_path, capsys):
     rc = main(["synth", "--out", str(tmp_path / "x"), "--real", "1", "--fake", "0",
                "--duration-ms", "5000", "--bpm-min", "400", "--bpm-max", "400"])
@@ -338,12 +346,17 @@ def test_config_file_alone_picks_experiment_and_classifier(tmp_path, news_dir, d
     ("train-breath", ["--lstm-units", "1000000"]),
     ("evaluate", ["--experiment", "pipeline", "--seed", "-1"]),
     ("evaluate", ["--experiment", "pipeline", "--svc-coef0", "nan"]),
+    ("evaluate", ["--experiment", "pipeline", "--classifier", "tree", "--svc-coef0", "nan"]),
     ("evaluate", ["--experiment", "pipeline", "--podcast-manifest", "podcasts.csv"]),
 ], ids=["batch size 0", "window nan", "min breath nan", "workers 0", "no experiment", "huge lstm",
-        "pipeline seed -1", "svc coef0 nan", "two detectors"])
+        "pipeline seed -1", "svc coef0 nan", "tree with svc coef0", "two detectors"])
 def test_bad_setting_exits_2(tmp_path, podcast_dir, detector, capsys, command, extra):
+    """A bad setting exits 2 before any audio is read: the manifest's WAVs
+    are missing, which a detection pass would report with exit 1."""
     _, model_path = detector
-    argv = [command, "--manifest", str(podcast_dir / "manifest.csv"), "--out", str(tmp_path / "out")]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text((podcast_dir / "manifest.csv").read_text())
+    argv = [command, "--manifest", str(manifest), "--out", str(tmp_path / "out")]
     if command != "train-breath":
         argv += ["--model", str(model_path)]
     assert main(argv + extra) == 2

@@ -1,6 +1,5 @@
-"""The shared BLNN/BLSV container: malformed files raise FormatError
-from every loader, and `detect` reports a malformed model without a
-traceback."""
+"""The container reader: malformed files raise FormatError, and
+`detect` reports a malformed model without a traceback."""
 
 import copy
 import json
@@ -16,8 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import breathline
-from breathline.breath_stats import BreathStats
-from breathline.classifiers import LabeledSample, load_svc, save_svc, svc_train
 from breathline.container import read_container, write_container
 from breathline.errors import FormatError
 from breathline.nn.model import BreathDetectorModel, ModelConfig, load_model, save_model
@@ -26,18 +23,8 @@ TINY = ModelConfig(n_mels=2, conv_filters=(3,), conv_kernels=(3,), pool_strides=
                    lstm_units=2, chunk_frames=8, seed=0)
 
 
-def _svc():
-    rng = np.random.default_rng(0)
-    samples = [
-        LabeledSample(f"s{i}", BreathStats(*np.abs(rng.normal(centre, 1.0, 3))), label)
-        for i, (centre, label) in enumerate([(10.0, "real")] * 4 + [(2.0, "fake")] * 4)
-    ]
-    return svc_train(samples)
-
-
 WRITERS = {
     "model": (lambda p: save_model(p, BreathDetectorModel(TINY)), load_model),
-    "svc": (lambda p: save_svc(p, _svc()), load_svc),
 }
 
 

@@ -146,7 +146,6 @@ def test_scores_csv_roundtrip(tmp_path):
     sp = ScoredPredictions(
         scores=np.array([0.25, 1.0 / 3.0, 0.75]),
         truths=np.array([0, 1, 1]),
-        positive_label="real",
         ids=["a", "b", "c"],
     )
     path = tmp_path / "scores.csv"

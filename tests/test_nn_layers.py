@@ -6,6 +6,7 @@ from oracles import central_difference
 
 from breathline.errors import TrainingError
 from breathline.nn.layers import (
+    BN_EPS,
     BatchNorm1D,
     Conv1D,
     Dropout,
@@ -111,7 +112,7 @@ def test_batchnorm_eval_uses_running_stats():
         bn.forward(rng.normal(3.0, 2.0, (4, 10, 2)), training=True)
     x = rng.normal(3.0, 2.0, (2, 6, 2))
     got = bn.forward(x, training=False)
-    manual = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) * bn.gamma + bn.beta
+    manual = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS) * bn.gamma + bn.beta
     np.testing.assert_allclose(got, manual, atol=1e-12)
     # running stats converge toward the stream statistics
     np.testing.assert_allclose(bn.running_mean, 3.0, atol=0.3)
