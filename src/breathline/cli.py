@@ -254,6 +254,15 @@ def cmd_detect(args) -> int:
 
 def _evaluate_frames(args, settings: dict, out: str) -> int:
     experiment = settings["experiment"]
+    pipeline_only = {
+        "--classifier": "classifier" in settings,
+        "--svc-coef0": args.svc_coef0 is not None,
+        "--model": args.model is not None,
+        "--podcast-manifest": args.podcast_manifest is not None,
+    }
+    for flag, present in pipeline_only.items():
+        if present:
+            raise ConfigError(f"{flag} applies only to the pipeline experiment, not {experiment}")
     train_cfg, model_config = _detector_configs(settings)
     items = load_frame_corpus(args.manifest, model_config.features)
     names = ("iterations", "seed") if experiment == "test1" else ("seed",)

@@ -3,11 +3,14 @@
 Frames are taken every `hop_ms` over the whole signal; frame t covers
 samples [t*hop, t*hop + window) and the tail is zero-padded, so the
 frame count depends only on duration and hop (`floor(n / hop)`). All
-math runs in float64; the stored matrix is float32.
+math runs in float64; the stored matrix is float32. Frames go through
+the spectrum in blocks of `BLOCK_FRAMES`, so the working set stays the
+same whatever the recording length.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +22,9 @@ from .errors import ConfigError
 # dB floors: -100 dB for both the mel power spectrogram and the RMSE track
 POWER_EPS = 1e-10
 AMP_EPS = 1e-5
+
+# frames per feature block: one default 2 s model chunk
+BLOCK_FRAMES = 800
 
 
 @dataclass(frozen=True)
@@ -89,8 +95,8 @@ def _frames(samples: np.ndarray, window: int, hop: int) -> np.ndarray:
 def zcr(frames: np.ndarray) -> np.ndarray:
     """Zero-crossing rate per frame: sign changes / (window - 1), with
     sign(0) treated as positive."""
-    signs = np.where(frames >= 0, 1, -1)
-    changes = np.sum(signs[:, 1:] != signs[:, :-1], axis=1)
+    positive = frames >= 0
+    changes = np.count_nonzero(positive[:, 1:] != positive[:, :-1], axis=1)
     return changes / (frames.shape[1] - 1)
 
 
@@ -137,15 +143,31 @@ def _next_pow2(n: int) -> int:
     return p
 
 
+# the cached arrays are shared by every caller, so they are read-only
+@functools.lru_cache(maxsize=16)
+def _hann(window: int) -> np.ndarray:
+    """Periodic Hann window, built once per length."""
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+    hann.flags.writeable = False
+    return hann
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
+    """`mel_filterbank`, built once per (n_mels, fft_size, sample_rate)."""
+    bank = mel_filterbank(n_mels, fft_size, sample_rate)
+    bank.flags.writeable = False
+    return bank
+
+
 def mel_spectrogram_db(frames: np.ndarray, n_mels: int, sample_rate: int) -> np.ndarray:
     """Mel power spectrogram in dB. Periodic Hann window, FFT size the
     next power of two at or above the window length, floor -100 dB."""
     window = frames.shape[1]
     fft_size = _next_pow2(window)
-    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
-    spectrum = np.fft.rfft(frames * hann, n=fft_size, axis=1)
+    spectrum = np.fft.rfft(frames * _hann(window), n=fft_size, axis=1)
     power = np.abs(spectrum) ** 2
-    mel_power = power @ mel_filterbank(n_mels, fft_size, sample_rate).T
+    mel_power = power @ _cached_filterbank(n_mels, fft_size, sample_rate).T
     return 10.0 * np.log10(np.maximum(mel_power, POWER_EPS))
 
 
@@ -153,7 +175,12 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig = FeatureConfig(
     window = config.window_samples(buffer.sample_rate)
     hop = config.hop_samples(buffer.sample_rate)
     frames = _frames(buffer.samples, window, hop)
-    mel = mel_spectrogram_db(frames, config.n_mels, buffer.sample_rate)
-    data = np.column_stack([mel, zcr(frames), rmse_db(frames)])
-    return FeatureMatrix(data.astype(np.float32), config)
+    data = np.empty((len(frames), config.dim), dtype=np.float32)
+    for start in range(0, len(frames), BLOCK_FRAMES):
+        block = frames[start : start + BLOCK_FRAMES]
+        rows = data[start : start + BLOCK_FRAMES]
+        rows[:, : config.n_mels] = mel_spectrogram_db(block, config.n_mels, buffer.sample_rate)
+        rows[:, config.n_mels] = zcr(block)
+        rows[:, config.n_mels + 1] = rmse_db(block)
+    return FeatureMatrix(data, config)
 

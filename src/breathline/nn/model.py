@@ -191,23 +191,25 @@ class BreathDetectorModel:
 
         The file is cut into chunk_frames-long chunks, the last chunk
         zero-padded, and the per-chunk outputs concatenated and trimmed
-        to ceil(num_frames / frames_per_step) steps.
+        to ceil(num_frames / frames_per_step) steps. Chunks go through
+        `forward` BATCH_CHUNKS at a time, and only the batch in hand is
+        copied to float64.
         """
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.config.input_dim:
-            raise ShapeError(f"expected (frames, {self.config.input_dim}), got {features.shape}")
+        features = np.asarray(features)
+        dim = self.config.input_dim
+        if features.ndim != 2 or features.shape[1] != dim:
+            raise ShapeError(f"expected (frames, {dim}), got {features.shape}")
         num_frames = features.shape[0]
         if num_frames == 0:
             return np.empty(0)
         chunk = self.config.chunk_frames
-        num_chunks = -(-num_frames // chunk)
-        padded = np.zeros((num_chunks * chunk, self.config.input_dim))
-        padded[:num_frames] = features
-        chunks = padded.reshape(num_chunks, chunk, self.config.input_dim)
-        outputs = [
-            self.forward(chunks[i : i + BATCH_CHUNKS])
-            for i in range(0, num_chunks, BATCH_CHUNKS)
-        ]
+        outputs = []
+        for start in range(0, num_frames, BATCH_CHUNKS * chunk):
+            rows = features[start : start + BATCH_CHUNKS * chunk]
+            num_chunks = -(-len(rows) // chunk)
+            batch = np.zeros((num_chunks * chunk, dim))
+            batch[: len(rows)] = rows
+            outputs.append(self.forward(batch.reshape(num_chunks, chunk, dim)))
         steps = -(-num_frames // self.config.frames_per_step)
         return np.concatenate(outputs).reshape(-1)[:steps]
 

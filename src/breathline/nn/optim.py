@@ -13,7 +13,7 @@ EPS = 1e-8
 class Adam:
     """Updates the given arrays in place; state is keyed by parameter name."""
 
-    def __init__(self, params: dict[str, np.ndarray], learning_rate: float = 1e-3):
+    def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
         self.t = 0

@@ -348,16 +348,22 @@ def test_config_file_alone_picks_experiment_and_classifier(tmp_path, news_dir, d
     ("evaluate", ["--experiment", "pipeline", "--svc-coef0", "nan"]),
     ("evaluate", ["--experiment", "pipeline", "--classifier", "tree", "--svc-coef0", "nan"]),
     ("evaluate", ["--experiment", "pipeline", "--podcast-manifest", "podcasts.csv"]),
+    ("evaluate", ["--experiment", "test1", "--classifier", "tree"]),
+    ("evaluate", ["--experiment", "test2", "--svc-coef0", "1.0"]),
+    ("evaluate", ["--experiment", "test3", "--model", "model.bin"]),
+    ("evaluate", ["--experiment", "test1", "--podcast-manifest", "podcasts.csv"]),
 ], ids=["batch size 0", "window nan", "min breath nan", "workers 0", "no experiment", "huge lstm",
-        "pipeline seed -1", "svc coef0 nan", "tree with svc coef0", "two detectors"])
+        "pipeline seed -1", "svc coef0 nan", "tree with svc coef0", "two detectors",
+        "test1 with classifier", "test2 with svc coef0", "test3 with model", "test1 with podcast manifest"])
 def test_bad_setting_exits_2(tmp_path, podcast_dir, detector, capsys, command, extra):
     """A bad setting exits 2 before any audio is read: the manifest's WAVs
-    are missing, which a detection pass would report with exit 1."""
+    are missing, which a detection pass or a frame experiment would report
+    with exit 1."""
     _, model_path = detector
     manifest = tmp_path / "manifest.csv"
     manifest.write_text((podcast_dir / "manifest.csv").read_text())
     argv = [command, "--manifest", str(manifest), "--out", str(tmp_path / "out")]
-    if command != "train-breath":
+    if command == "detect" or "pipeline" in extra:
         argv += ["--model", str(model_path)]
     assert main(argv + extra) == 2
     err = capsys.readouterr().err

@@ -1,15 +1,22 @@
 """Feature extraction: mel bands, ZCR, RMSE, and framing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import naive_mel_db, naive_rmse_db, naive_zcr
 
+from breathline import features
 from breathline.audio_io import AudioBuffer
 from breathline.errors import ConfigError
 from breathline.features import (
+    BLOCK_FRAMES,
     FeatureConfig,
     extract_features,
     hz_to_mel,
+    mel_spectrogram_db,
     mel_to_hz,
     zcr,
     rmse_db,
@@ -159,3 +166,53 @@ def test_fractional_hop_rejected():
 def test_non_finite_window_or_hop_rejected(fields):
     with pytest.raises(ConfigError, match="finite"):
         FeatureConfig(**fields)
+
+
+HOP, WINDOW = 40, 320  # samples at 16 kHz for the default 2.5 ms hop and 20 ms window
+# frame counts around the block edges; each gets a random tail of under one hop
+EDGE_FRAMES = [0, 1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES, 3 * BLOCK_FRAMES + 7]
+
+
+@given(
+    length=st.one_of(
+        st.integers(0, WINDOW - 1),  # shorter than one window
+        st.sampled_from(EDGE_FRAMES).flatmap(lambda f: st.integers(f * HOP, f * HOP + HOP - 1)),
+        st.integers(0, 4 * BLOCK_FRAMES * HOP),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_blockwise_features_equal_whole_frame_composition(length, seed):
+    x = np.clip(np.random.default_rng(seed).normal(0, 0.1, length), -1, 1)
+    got = extract_features(AudioBuffer(x, SR)).data
+    frames = features._frames(x, WINDOW, HOP)  # the tail frames are zero-padded
+    want = np.column_stack([mel_spectrogram_db(frames, 128, SR), zcr(frames), rmse_db(frames)]).astype(np.float32)
+    assert got.shape == want.shape == (length // HOP, 130)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_window_and_filterbank_are_cached_read_only():
+    bank = features._cached_filterbank(128, 512, SR)
+    assert features._cached_filterbank(128, 512, SR) is bank
+    np.testing.assert_array_equal(bank, features.mel_filterbank(128, 512, SR))
+    with pytest.raises(ValueError):
+        bank[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        features._hann(WINDOW)[0] = 1.0
+
+
+def test_extraction_memory_is_output_plus_a_block():
+    """60 s of audio: besides the float32 output and the zero-padded float64
+    copy of the samples that framing views, extraction holds one block's
+    frames, spectrum and mel power (about 8 MB), not a whole-file spectrum
+    (about 100 MB per audio-minute)."""
+    x = np.random.default_rng(6).normal(0, 0.1, 60 * SR)
+    extract_features(AudioBuffer(x[:SR], SR))  # build the cached window and filterbank first
+    tracemalloc.start()
+    try:
+        fm = extract_features(AudioBuffer(x, SR))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_working_set = 16 * 2**20
+    assert peak <= fm.data.nbytes + x.nbytes + block_working_set

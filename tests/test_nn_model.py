@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from breathline.errors import ConfigError, FormatError, ShapeError
-from breathline.nn.model import BreathDetectorModel, ModelConfig, load_model, save_model
+from breathline.nn.model import BATCH_CHUNKS, BreathDetectorModel, ModelConfig, load_model, save_model
 
 # small but structurally complete: two conv blocks, strides 4*5
 SMALL = ModelConfig(
@@ -68,6 +68,23 @@ def test_predict_file_matches_forward_on_whole_chunk():
     model = BreathDetectorModel(SMALL)
     feats = np.random.default_rng(5).normal(size=(40, 6))
     np.testing.assert_array_equal(model.predict_file(feats), model.forward(feats[None])[0])
+
+
+def test_predict_file_batches_zero_padded_chunks():
+    """More than BATCH_CHUNKS chunks and a partial tail: the float32 frames are
+    zero-padded to whole chunks and go through forward BATCH_CHUNKS at a time."""
+    model = BreathDetectorModel(SMALL)
+    chunk = SMALL.chunk_frames
+    num_frames = 2 * BATCH_CHUNKS * chunk + 3 * chunk + 17
+    feats = np.random.default_rng(9).normal(size=(num_frames, 6)).astype(np.float32)
+    num_chunks = -(-num_frames // chunk)
+    padded = np.zeros((num_chunks * chunk, 6))
+    padded[:num_frames] = feats
+    chunks = padded.reshape(num_chunks, chunk, 6)
+    want = np.concatenate([model.forward(chunks[i : i + BATCH_CHUNKS]) for i in range(0, num_chunks, BATCH_CHUNKS)])
+    got = model.predict_file(feats)
+    assert got.shape == (-(-num_frames // SMALL.frames_per_step),)
+    np.testing.assert_array_equal(got, want.reshape(-1)[: len(got)])
 
 
 def test_forward_input_validation():
