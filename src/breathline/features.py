@@ -81,15 +81,15 @@ class FeatureMatrix:
         return self.data.shape[0]
 
 
-def _frames(samples: np.ndarray, window: int, hop: int) -> np.ndarray:
-    """Zero-padded frame view, shape (num_frames, window)."""
-    num_frames = len(samples) // hop
-    padded = np.zeros((num_frames - 1) * hop + window if num_frames else 0)
-    padded[: len(samples)] = samples[: len(padded)]
-    if num_frames == 0:
-        return np.empty((0, window))
-    view = np.lib.stride_tricks.sliding_window_view(padded, window)
-    return view[::hop]
+def _frames(samples: np.ndarray, window: int, hop: int, start: int, stop: int) -> np.ndarray:
+    """Frames [start, stop) of the zero-padded framing, shape
+    (stop - start, window): a view of `samples` where they cover every
+    frame, else a zero-padded copy of just this span."""
+    span = samples[start * hop : (stop - 1) * hop + window]
+    needed = (stop - start - 1) * hop + window
+    if len(span) < needed:
+        span = np.concatenate([span, np.zeros(needed - len(span))])
+    return np.lib.stride_tricks.sliding_window_view(span, window)[::hop]
 
 
 def zcr(frames: np.ndarray) -> np.ndarray:
@@ -174,10 +174,10 @@ def mel_spectrogram_db(frames: np.ndarray, n_mels: int, sample_rate: int) -> np.
 def extract_features(buffer: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     window = config.window_samples(buffer.sample_rate)
     hop = config.hop_samples(buffer.sample_rate)
-    frames = _frames(buffer.samples, window, hop)
-    data = np.empty((len(frames), config.dim), dtype=np.float32)
-    for start in range(0, len(frames), BLOCK_FRAMES):
-        block = frames[start : start + BLOCK_FRAMES]
+    num_frames = buffer.num_samples // hop
+    data = np.empty((num_frames, config.dim), dtype=np.float32)
+    for start in range(0, num_frames, BLOCK_FRAMES):
+        block = _frames(buffer.samples, window, hop, start, min(start + BLOCK_FRAMES, num_frames))
         rows = data[start : start + BLOCK_FRAMES]
         rows[:, : config.n_mels] = mel_spectrogram_db(block, config.n_mels, buffer.sample_rate)
         rows[:, config.n_mels] = zcr(block)

@@ -65,39 +65,53 @@ class Conv1D(Layer):
     def grads(self):
         return {"w": self.grad_w, "b": self.grad_b}
 
-    def _pad(self):
+    def _taps(self, time: int):
+        """(k, out, src) for each tap that reaches the output: output steps
+        `out` take tap k of input steps `src`, the same span shifted by
+        k - left. A tap shifted by the whole length or more reads only
+        padding and is skipped."""
         left = (self.kernel_size - 1) // 2
-        return left, self.kernel_size - 1 - left
+        for k in range(self.kernel_size):
+            shift = k - left
+            lo, hi = max(0, -shift), min(time, time - shift)
+            if lo < hi:
+                yield k, slice(lo, hi), slice(lo + shift, hi + shift)
+
+    def _tap_matrix(self) -> np.ndarray:
+        """(in, kernel * out): every tap's weights side by side."""
+        return self.w.transpose(1, 0, 2).reshape(self.in_channels, -1)
 
     def forward(self, x, training=False):
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ShapeError(f"Conv1D expected (batch, time, {self.in_channels}), got {x.shape}")
         batch, time, _ = x.shape
-        left, right = self._pad()
-        xpad = np.zeros((batch, time + left + right, self.in_channels))
-        xpad[:, left : left + time] = x
-        # im2col: (batch, time, kernel, in) -> one matmul
-        cols = np.lib.stride_tricks.sliding_window_view(xpad, self.kernel_size, axis=1)
-        cols = cols.transpose(0, 1, 3, 2).reshape(batch * time, self.kernel_size * self.in_channels)
-        y = cols @ self.w.reshape(-1, self.out_channels) + self.b
+        # project every input step through every tap once, then sum the
+        # taps' outputs shifted into place: nothing kernel * in wide
+        z = (x.reshape(batch * time, self.in_channels) @ self._tap_matrix()).reshape(
+            batch, time, self.kernel_size, self.out_channels
+        )
+        y = np.empty((batch, time, self.out_channels))
+        y[:] = self.b
+        for k, out, src in self._taps(time):
+            y[:, out] += z[:, src, k]
         if training:
-            self._cache = (cols, x.shape)
-        return y.reshape(batch, time, self.out_channels)
+            self._cache = x
+        return y
 
     def backward(self, grad):
-        cols, x_shape = self._cache
-        batch, time, _ = x_shape
-        grad_flat = grad.reshape(batch * time, self.out_channels)
-        self.grad_w = (cols.T @ grad_flat).reshape(self.w.shape)
-        self.grad_b = grad_flat.sum(axis=0)
-        gcols = (grad_flat @ self.w.reshape(-1, self.out_channels).T).reshape(
-            batch, time, self.kernel_size, self.in_channels
-        )
-        left, right = self._pad()
-        gxpad = np.zeros((batch, time + left + right, self.in_channels))
-        for k in range(self.kernel_size):
-            gxpad[:, k : k + time] += gcols[:, :, k]
-        return gxpad[:, left : left + time]
+        x = self._cache
+        batch, time, _ = x.shape
+        # gcols[:, t, k] is the upstream gradient that tap k's projection
+        # of input step t fed
+        gcols = np.zeros((batch, time, self.kernel_size, self.out_channels))
+        for k, out, src in self._taps(time):
+            gcols[:, src, k] = grad[:, out]
+        gcols = gcols.reshape(batch * time, self.kernel_size * self.out_channels)
+        x_flat = x.reshape(batch * time, self.in_channels)
+        grad_taps = (x_flat.T @ gcols).reshape(self.in_channels, self.kernel_size, self.out_channels)
+        self.grad_w = grad_taps.transpose(1, 0, 2)
+        self.grad_b = grad.reshape(-1, self.out_channels).sum(axis=0)
+        return (gcols @ self._tap_matrix().T).reshape(x.shape)
 
 
 class BatchNorm1D(Layer):

@@ -1,5 +1,7 @@
 """Layer-level forward conventions and finite-difference gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import central_difference
@@ -53,6 +55,74 @@ def test_conv_gradients():
     _fd_assert(loss, conv.w, conv.grad_w, picker)
     _fd_assert(loss, conv.b, conv.grad_b, picker)
     _fd_assert(loss, x, dx, picker)
+
+
+def _loop_conv(x, w, b, upstream):
+    """'same' convolution and its gradients, one output step and one tap
+    at a time: tap k at output step t reads x[t + k - (kernel - 1) // 2],
+    zero outside the input."""
+    kernel = w.shape[0]
+    left = (kernel - 1) // 2
+    batch, time, _ = x.shape
+    y = np.empty((batch, time, w.shape[2]))
+    dx = np.zeros_like(x)
+    grad_w = np.zeros_like(w)
+    for n in range(batch):
+        for t in range(time):
+            y[n, t] = b
+            for k in range(kernel):
+                src = t + k - left
+                if 0 <= src < time:
+                    y[n, t] += x[n, src] @ w[k]
+                    dx[n, src] += w[k] @ upstream[n, t]
+                    grad_w[k] += np.outer(x[n, src], upstream[n, t])
+    return y, dx, grad_w
+
+
+# odd and even kernels; time lengths shorter than, equal to and longer than
+# the kernel. From kernel 6 on, a tap can be shifted past the end of a
+# 2-step input, where plain `[:time - shift]` slices select the wrong span.
+CONV_CASES = [(kernel, time) for kernel in range(1, 8) for time in sorted({1, 2, kernel - 1, kernel, 9})]
+
+
+@pytest.mark.parametrize("kernel, time", CONV_CASES)
+def test_conv_matches_loop_oracle(kernel, time):
+    rng = np.random.default_rng(100 * kernel + time)
+    conv = Conv1D(3, 4, kernel, rng)
+    conv.b = rng.normal(size=4)
+    x = rng.normal(size=(2, time, 3))
+    upstream = rng.normal(size=(2, time, 4))
+    y = conv.forward(x, training=True)
+    dx = conv.backward(upstream)
+    want_y, want_dx, want_grad_w = _loop_conv(x, conv.w, conv.b, upstream)
+    for got, want in [(y, want_y), (dx, want_dx), (conv.grad_w, want_grad_w)]:
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.array_equal(conv.grad_b, upstream.reshape(-1, 4).sum(axis=0))
+    if kernel == 1:  # one tap is one dense projection per step, exactly
+        x2, g2 = x.reshape(-1, 3), upstream.reshape(-1, 4)
+        assert np.array_equal(y.reshape(-1, 4), x2 @ conv.w[0] + conv.b)
+        assert np.array_equal(dx.reshape(-1, 3), g2 @ conv.w[0].T)
+        assert np.array_equal(conv.grad_w[0], x2.T @ g2)
+
+
+def test_conv_training_memory_has_no_im2col_copy():
+    """conv0's shape at batch 8: a training forward plus backward holds the
+    narrow (batch * time, kernel * out) tap matrices and the input
+    gradient, never a (batch * time, kernel * in) copy of the input
+    (20 MB here, and a second one for the input gradient)."""
+    rng = np.random.default_rng(15)
+    conv = Conv1D(130, 16, 3, rng)
+    x = rng.normal(size=(8, 800, 130))
+    upstream = rng.normal(size=(8, 800, 16))
+    tracemalloc.start()
+    try:
+        conv.forward(x, training=True)
+        conv.backward(upstream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes + 8 * 2**20
 
 
 def test_dense_gradients():
