@@ -4,19 +4,23 @@ end-to-end sample-level pipeline evaluation.
 Three frame-level tests probe how the breath detector generalizes:
 per-podcast held-out blocks (test1), leave-one-podcast-out (test2), and
 leave-one-speaker-out (test3). Every fold retrains from a fresh
-seed-derived initialization. `detect_manifest` is the one path from a
-manifest's audio to breath intervals and statistics; the pipeline
-evaluation scores those statistics with a sample classifier over an
-outlet-disjoint train/test split.
+seed-derived initialization, and a test's folds run side by side in
+spawned worker processes, one per usable CPU. `detect_manifest` is the
+one path from a manifest's audio to breath intervals and statistics;
+the pipeline evaluation scores those statistics with a sample
+classifier over an outlet-disjoint train/test split.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,7 +43,8 @@ from .errors import BreathlineError, ConfigError, InputError, ValidationError
 from .features import FeatureConfig, extract_features
 from .manifest import ManifestEntry, load_manifest
 from .metrics import EvalReport, ScoredPredictions, auprc, eer, point_metrics
-from .nn import BreathDetectorModel, ModelConfig, TrainConfig, train
+from .nn import BreathDetectorModel, ModelConfig, TrainConfig
+from .nn.train import fit_and_predict
 from .postprocess import DetectionConfig, detect_breaths
 
 CLASSIFIER_KINDS = ("threshold", "svc", "tree")
@@ -119,24 +124,75 @@ def fold_seed(seed: int, fold_index: int) -> int:
     return seed ^ (fold_index + 1)
 
 
-def _train_fold_detector(
-    items: list[tuple[np.ndarray, np.ndarray]],
-    model_config: ModelConfig,
-    train_config: TrainConfig,
-    seed: int,
-) -> BreathDetectorModel:
-    model = BreathDetectorModel(dataclasses.replace(model_config, seed=seed))
-    train(model, items, dataclasses.replace(train_config, seed=seed))
-    return model
+# one fold of a frame test: (training pairs, validation pairs, fold seed)
+FoldSpec = tuple[list[tuple[np.ndarray, np.ndarray]], list[tuple[np.ndarray, np.ndarray]], int]
+
+# BLAS and OpenMP read these when numpy loads in a new process
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _pooled_frame_auprc(model: BreathDetectorModel, pairs: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    scores, truths = [], []
-    for features, labels in pairs:
-        scores.append(model.predict_file(features))
-        truths.append(steps_from_frames(labels, model.config.frames_per_step))
-    pooled = ScoredPredictions(np.concatenate(scores), np.concatenate(truths))
-    return auprc(pooled)
+def _usable_cpus() -> int:
+    """CPUs this process may run on; `taskset` narrows them."""
+    return len(os.sched_getaffinity(0))
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Set BLAS_THREAD_VARS to 1 inside the block, then restore each one,
+    unset ones included."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _fit_in_processes(jobs: list[tuple], workers: int) -> list[list[np.ndarray]]:
+    """`fit_and_predict(*job)` for every job on `workers` spawned
+    processes with single-threaded BLAS, in job order. The first failure
+    in job order is raised and the jobs not yet started are cancelled."""
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        # with spawn, `submit` starts the processes, which read the
+        # thread variables as they start
+        with _single_threaded_blas():
+            futures = [pool.submit(fit_and_predict, *job) for job in jobs]
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        raise BreathlineError(
+            "a fold worker process ended abruptly: it was killed, or a script runs the "
+            "experiments without an `if __name__ == '__main__':` guard"
+        ) from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _fold_auprcs(specs: list[FoldSpec], model_config: ModelConfig, train_config: TrainConfig) -> list[float]:
+    """The pooled validation AUPRC of each fold, in fold order.
+
+    Each fold trains a fresh detector (`fit_and_predict`) with its own
+    seed. The folds run inline with one usable CPU, else on up to one
+    spawned process per usable CPU; a fold's result depends only on its
+    spec, so the values do not depend on the worker count."""
+    jobs = [
+        (train_pairs, [features for features, _ in val_pairs], model_config, train_config, seed)
+        for train_pairs, val_pairs, seed in specs
+    ]
+    workers = min(len(jobs), _usable_cpus())
+    if workers > 1:
+        outputs = _fit_in_processes(jobs, workers)
+    else:
+        outputs = [fit_and_predict(*job) for job in jobs]
+    values = []
+    for (_, val_pairs, _), scores in zip(specs, outputs):
+        truths = [steps_from_frames(labels, model_config.frames_per_step) for _, labels in val_pairs]
+        values.append(auprc(ScoredPredictions(np.concatenate(scores), np.concatenate(truths))))
+    return values
 
 
 def test1_contiguous_kfold(
@@ -155,7 +211,7 @@ def test1_contiguous_kfold(
     if x < 1:
         raise ConfigError("test1 needs a non-empty corpus")
     rng = np.random.default_rng(seed)
-    values = []
+    specs = []
     for iteration in range(iterations):
         train_pairs, val_pairs = [], []
         for item in items:
@@ -169,8 +225,8 @@ def test1_contiguous_kfold(
                 train_pairs.append((item.features[:start], item.frame_labels[:start]))
             if start + block < num_frames:
                 train_pairs.append((item.features[start + block :], item.frame_labels[start + block :]))
-        model = _train_fold_detector(train_pairs, model_config, train_config, fold_seed(seed, iteration))
-        values.append(_pooled_frame_auprc(model, val_pairs))
+        specs.append((train_pairs, val_pairs, fold_seed(seed, iteration)))
+    values = _fold_auprcs(specs, model_config, train_config)
     return ExperimentResult("test1", [str(i) for i in range(iterations)], values, seed)
 
 
@@ -183,15 +239,16 @@ def test2_leave_one_podcast(
     """Hold out each podcast in turn, training on the remaining ones."""
     if len(items) < 2:
         raise ConfigError("test2 needs at least 2 podcasts")
-    values, labels = [], []
-    for index, held_out in enumerate(items):
-        train_pairs = [
-            (item.features, item.frame_labels) for item in items[:index] + items[index + 1 :]
-        ]
-        model = _train_fold_detector(train_pairs, model_config, train_config, fold_seed(seed, index))
-        values.append(_pooled_frame_auprc(model, [(held_out.features, held_out.frame_labels)]))
-        labels.append(held_out.id)
-    return ExperimentResult("test2", labels, values, seed)
+    specs = [
+        (
+            [(item.features, item.frame_labels) for item in items[:index] + items[index + 1 :]],
+            [(held_out.features, held_out.frame_labels)],
+            fold_seed(seed, index),
+        )
+        for index, held_out in enumerate(items)
+    ]
+    values = _fold_auprcs(specs, model_config, train_config)
+    return ExperimentResult("test2", [item.id for item in items], values, seed)
 
 
 def test3_leave_one_speaker(
@@ -207,16 +264,15 @@ def test3_leave_one_speaker(
     speakers = sorted({item.speaker_id for item in items})
     if len(speakers) < 2:
         raise ConfigError("test3 needs at least 2 speakers")
-    values = []
-    for index, speaker in enumerate(speakers):
-        train_pairs = [
-            (item.features, item.frame_labels) for item in items if item.speaker_id != speaker
-        ]
-        val_pairs = [
-            (item.features, item.frame_labels) for item in items if item.speaker_id == speaker
-        ]
-        model = _train_fold_detector(train_pairs, model_config, train_config, fold_seed(seed, index))
-        values.append(_pooled_frame_auprc(model, val_pairs))
+    specs = [
+        (
+            [(item.features, item.frame_labels) for item in items if item.speaker_id != speaker],
+            [(item.features, item.frame_labels) for item in items if item.speaker_id == speaker],
+            fold_seed(seed, index),
+        )
+        for index, speaker in enumerate(speakers)
+    ]
+    values = _fold_auprcs(specs, model_config, train_config)
     return ExperimentResult("test3", speakers, values, seed)
 
 

@@ -13,11 +13,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .audio_io import AudioBuffer
 from .errors import ConfigError
+
+if TYPE_CHECKING:  # audio_io imports scipy.signal, which training never needs
+    from .audio_io import AudioBuffer
 
 # dB floors: -100 dB for both the mel power spectrogram and the RMSE track
 POWER_EPS = 1e-10

@@ -1,7 +1,9 @@
-"""Detector training: chunking, binary cross-entropy, and the epoch loop."""
+"""Detector training: chunking, binary cross-entropy, the epoch loop,
+and one cross-validation fold as a job a worker process can run."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -9,7 +11,7 @@ import numpy as np
 
 from ..annotations import steps_from_frames
 from ..errors import ConfigError, TrainingError
-from .model import BreathDetectorModel
+from .model import BreathDetectorModel, ModelConfig
 from .optim import Adam
 
 
@@ -49,7 +51,7 @@ def make_training_chunks(
     """
     xs, ys = [], []
     for features, frame_labels in items:
-        features = np.asarray(features, dtype=np.float64)
+        features = np.asarray(features)  # float32 stays float32; `forward` casts each batch
         labels = np.asarray(frame_labels, dtype=bool)
         if features.shape[0] != labels.shape[0]:
             raise TrainingError(
@@ -88,3 +90,20 @@ def train(
             count += len(batch)
         history.append(total / count)
     return history
+
+
+def fit_and_predict(
+    train_pairs: list[tuple[np.ndarray, np.ndarray]],
+    val_features: list[np.ndarray],
+    model_config: ModelConfig,
+    train_config: TrainConfig,
+    seed: int,
+) -> list[np.ndarray]:
+    """Train a fresh detector with `seed` on `train_pairs` and return its
+    step probabilities for each of `val_features`.
+
+    One cross-validation fold, module-level so that a spawned worker
+    process can import and run it."""
+    model = BreathDetectorModel(dataclasses.replace(model_config, seed=seed))
+    train(model, train_pairs, dataclasses.replace(train_config, seed=seed))
+    return [model.predict_file(features) for features in val_features]

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import breathline
+from breathline import evaluation
 from breathline.cli import main, _setup_logging
 from breathline.manifest import load_manifest, save_manifest
 from breathline.nn import load_model
@@ -269,6 +271,41 @@ def test_train_breath_and_test3_on_synth_fakes(tmp_path, capsys):
                  "--epochs", "1", "--lstm-units", "4"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "fake-0000" in err and "fake-0001" in err and "real-0000" not in err
+
+
+def test_evaluate_folds_are_identical_at_one_and_two_workers(tmp_path, podcast_dir, monkeypatch):
+    digests = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["evaluate", "--experiment", "test2", "--manifest", str(podcast_dir / "manifest.csv"),
+                     "--epochs", "2", "--lstm-units", "8", "--seed", "4", "--out", str(out)]) == 0
+        digests[cpus] = _digests(out)
+    assert "experiment_test2.json" in digests[1]
+    assert digests[1] == digests[2]
+
+
+def _exit_abruptly(*job):
+    os._exit(3)
+
+
+def test_evaluate_fold_failures_exit_1_at_two_workers(tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--seed", "3", "--real", "2", "--fake", "0",
+                 "--duration-ms", "1500", "--speakers", "2"]) == 0
+    args = ["evaluate", "--experiment", "test2", "--manifest", str(corpus / "manifest.csv"),
+            "--epochs", "1", "--lstm-units", "4", "--out", str(tmp_path / "t2")]
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+    capsys.readouterr()
+    # too short for one training chunk: the worker's TrainingError reaches the CLI
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "long enough for a 800-frame chunk" in err
+    monkeypatch.setattr(evaluation, "fit_and_predict", _exit_abruptly)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ended abruptly" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
 
 
 def test_evaluate_pipeline_needs_a_detector(tmp_path, news_dir, capsys):

@@ -1,12 +1,16 @@
 """Experiment folds, outlet-disjoint splitting, and the pipeline evaluation."""
 
 import dataclasses
+import json
+import multiprocessing
+import os
 import shutil
+import time
 
 import numpy as np
 import pytest
 
-from breathline.errors import ConfigError, InputError, ValidationError
+from breathline.errors import ConfigError, InputError, TrainingError, ValidationError
 from breathline import evaluation
 from breathline.evaluation import (
     ExperimentResult,
@@ -100,11 +104,13 @@ def test_test2_holds_out_by_position(frame_corpus, monkeypatch):
     # a second item with the same id is still its own fold
     trained_on = []
 
-    def record(pairs, model_config, train_config, seed):
-        trained_on.append(len(pairs))
-        return BreathDetectorModel(model_config)
+    def record(train_pairs, val_features, model_config, train_config, seed):
+        trained_on.append(len(train_pairs))
+        return [BreathDetectorModel(model_config).predict_file(features) for features in val_features]
 
-    monkeypatch.setattr(evaluation, "_train_fold_detector", record)
+    # folds run inline at one CPU, so the parent-side job function is the one called
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(evaluation, "fit_and_predict", record)
     items = frame_corpus + [dataclasses.replace(frame_corpus[0])]
     result = leave_one_podcast(items, FAST_MODEL, FAST_TRAIN)
     assert trained_on == [len(items) - 1] * len(items)
@@ -116,6 +122,74 @@ def test_test2_duplicate_podcast_scores_at_least_mean(frame_corpus):
     result = leave_one_podcast(frame_corpus + [twin], FAST_MODEL, TrainConfig(epochs=6, seed=0), seed=2)
     twin_value = result.values[result.fold_labels.index("twin")]
     assert twin_value >= result.mean - 1e-12
+
+
+def _blas_vars():
+    return {name: os.environ.get(name) for name in evaluation.BLAS_THREAD_VARS}
+
+
+@pytest.fixture
+def mixed_blas_env(monkeypatch):
+    """One thread variable set, the others unset."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    return _blas_vars()
+
+
+def test_fold_results_do_not_depend_on_worker_count(frame_corpus, monkeypatch, mixed_blas_env):
+    results = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+        results[cpus] = json.dumps([
+            contiguous_kfold(frame_corpus, FAST_MODEL, FAST_TRAIN, iterations=3, seed=5).to_dict(),
+            leave_one_podcast(frame_corpus, FAST_MODEL, FAST_TRAIN, seed=1).to_dict(),
+            leave_one_speaker(frame_corpus, FAST_MODEL, FAST_TRAIN, seed=3).to_dict(),
+        ])
+        assert multiprocessing.active_children() == []
+        assert _blas_vars() == mixed_blas_env
+    assert results[1] == results[2]
+
+
+def test_single_threaded_blas_restores_the_environment(mixed_blas_env):
+    with evaluation._single_threaded_blas():
+        assert set(_blas_vars().values()) == {"1"}
+    assert _blas_vars() == mixed_blas_env
+    with pytest.raises(KeyError), evaluation._single_threaded_blas():
+        raise KeyError("inside")
+    assert _blas_vars() == mixed_blas_env
+
+
+def test_fold_errors_keep_their_type_across_processes(frame_corpus, monkeypatch):
+    # every podcast is shorter than one training chunk
+    short = [dataclasses.replace(item, features=item.features[:100], frame_labels=item.frame_labels[:100])
+             for item in frame_corpus]
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+    with pytest.raises(TrainingError, match="long enough for a 800-frame chunk"):
+        leave_one_podcast(short, FAST_MODEL, FAST_TRAIN)
+    assert multiprocessing.active_children() == []
+
+
+def _fail_first_fold(train_pairs, val_features, model_config, train_config, seed):
+    # every other fold leaves a mark in $FOLD_MARKS and takes a while
+    if seed == fold_seed(0, 0):
+        raise TrainingError("first fold failed")
+    time.sleep(0.5)
+    with open(os.path.join(os.environ["FOLD_MARKS"], str(seed)), "w"):
+        pass
+    return [np.full(-(-len(features) // model_config.frames_per_step), 0.5) for features in val_features]
+
+
+def test_first_failing_fold_cancels_the_pending_ones(frame_corpus, monkeypatch, tmp_path):
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(evaluation, "fit_and_predict", _fail_first_fold)
+    monkeypatch.setenv("FOLD_MARKS", str(tmp_path))
+    iterations = 12
+    with pytest.raises(TrainingError, match="first fold failed"):
+        contiguous_kfold(frame_corpus, FAST_MODEL, FAST_TRAIN, iterations=iterations, seed=0)
+    assert multiprocessing.active_children() == []
+    # the folds already handed to a worker finish; the rest never start
+    assert len(os.listdir(tmp_path)) < iterations // 2
 
 
 def test_test3_one_fold_per_speaker(frame_corpus):

@@ -1,9 +1,15 @@
 """Loss values, chunking rules, and the training loop."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from oracles import central_difference, enum_auprc
 
+import breathline
 from breathline.errors import ConfigError, TrainingError
 from breathline.nn.model import BreathDetectorModel, ModelConfig
 from breathline.nn.train import TrainConfig, bce_loss, make_training_chunks, train
@@ -57,6 +63,31 @@ def test_chunk_targets_are_majority_pooled():
     frames[0:11] = True  # 11 of the first 20 frames
     x, y = make_training_chunks([(np.zeros((40, 6)), frames)], 40, 20)
     np.testing.assert_array_equal(y[0], [1.0, 0.0])
+
+
+def test_chunking_keeps_float32_features():
+    rng = np.random.default_rng(6)
+    x, _ = make_training_chunks([(rng.normal(size=(80, 6)).astype(np.float32), np.zeros(80, dtype=bool))], 40, 20)
+    assert x.dtype == np.float32
+
+
+def test_training_on_float32_equals_training_on_its_float64_values():
+    rng = np.random.default_rng(7)
+    feats, labels = _memorization_item(rng)
+    narrow = feats.astype(np.float32)
+    h32 = train(BreathDetectorModel(SMALL), [(narrow, labels)], TrainConfig(epochs=3, seed=2))
+    h64 = train(BreathDetectorModel(SMALL), [(narrow.astype(np.float64), labels)], TrainConfig(epochs=3, seed=2))
+    assert h32 == h64
+
+
+def test_training_import_leaves_out_scipy_signal():
+    # a spawned fold worker imports only the training path; scipy.signal
+    # (resampling) costs about a second per process
+    code = "import sys, breathline.nn.train; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(breathline.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_chunking_validation():
