@@ -143,12 +143,16 @@ def load_wav(path) -> AudioBuffer:
 
 def write_wav(path, buffer: AudioBuffer, encoding: str = "float32") -> None:
     """Write a mono buffer as 'float32' or 'pcm16' WAV."""
+    # the payload array is written as it is, so writing holds one array
+    # of the output width besides the buffer
     if encoding == "pcm16":
-        scaled = np.round(buffer.samples * PCM16_SCALE)
-        payload = np.clip(scaled, -32768, 32767).astype("<i2").tobytes()
+        scaled = buffer.samples * PCM16_SCALE
+        np.round(scaled, out=scaled)
+        payload = np.clip(scaled, -32768, 32767, out=scaled).astype("<i2")
+        del scaled
         audio_format, bits = 1, 16
     elif encoding == "float32":
-        payload = buffer.samples.astype("<f4").tobytes()
+        payload = buffer.samples.astype("<f4")
         audio_format, bits = 3, 32
     else:
         raise ConfigError(f"unknown WAV encoding {encoding!r}; use 'pcm16' or 'float32'")
@@ -162,13 +166,15 @@ def write_wav(path, buffer: AudioBuffer, encoding: str = "float32") -> None:
         chunks.append((b"fact", struct.pack("<I", buffer.num_samples)))
     chunks.append((b"data", payload))
 
-    body = b""
-    for chunk_id, chunk in chunks:
-        body += chunk_id + struct.pack("<I", len(chunk)) + chunk
-        if len(chunk) % 2:
-            body += b"\x00"
+    sizes = [memoryview(chunk).nbytes for _, chunk in chunks]
+    body_len = sum(8 + size + size % 2 for size in sizes)
     with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+        fh.write(b"RIFF" + struct.pack("<I", 4 + body_len) + b"WAVE")
+        for (chunk_id, chunk), size in zip(chunks, sizes):
+            fh.write(chunk_id + struct.pack("<I", size))
+            fh.write(chunk)
+            if size % 2:
+                fh.write(b"\x00")
 
 
 def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:

@@ -116,8 +116,11 @@ def synthesize_one(config: SynthesisConfig) -> tuple[AudioBuffer, BreathInterval
     floor_amp = _db_to_amp(config.silence_level_db)
     breath_rms = _db_to_amp(config.breath_band_level_db)
 
+    # bursts are kept at their own length and added into the samples at
+    # the end, so a long file peaks at two full-length arrays: the
+    # envelope and the samples
     envelope = np.full(n, speech_amp)
-    signal_extra = np.zeros(n)
+    bursts: list[tuple[int, np.ndarray]] = []
     breath_spans: list[tuple[int, int]] = []
 
     num_events = len(kinds)
@@ -137,22 +140,24 @@ def synthesize_one(config: SynthesisConfig) -> tuple[AudioBuffer, BreathInterval
         envelope[pause_start : pause_start + pause_len] = floor_amp
         if kind == "breath":
             a = pause_start + margin
-            signal_extra[a : a + event_len] += _bandpass_burst(
-                rng, event_len, config.breath_band_hz, sr, breath_rms
-            )
+            bursts.append((a, _bandpass_burst(rng, event_len, config.breath_band_hz, sr, breath_rms)))
             breath_spans.append((a, a + event_len))
 
     # 10 ms linear ramps at envelope discontinuities to avoid clicks
     fade = int(FADE_MS * sr / 1000.0)
     if fade > 1:
-        edges = np.flatnonzero(np.diff(envelope) != 0.0)
+        edges = np.flatnonzero(envelope[1:] != envelope[:-1])
         for e in edges:
             lo = max(0, e + 1 - fade // 2)
             hi = min(n, e + 1 + fade // 2)
             envelope[lo:hi] = np.linspace(envelope[lo], envelope[hi - 1], hi - lo)
 
-    samples = rng.standard_normal(n) * envelope + signal_extra
-    peak = float(np.max(np.abs(samples))) if n else 0.0
+    samples = rng.standard_normal(n)
+    samples *= envelope
+    del envelope
+    for a, burst in bursts:  # pauses never overlap, so neither do bursts
+        samples[a : a + burst.size] += burst
+    peak = max(float(samples.max()), -float(samples.min())) if n else 0.0
     if peak > 0.99:
         samples *= 0.99 / peak
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,36 @@ def test_roundtrip_float32(tmp_path):
     assert back.sample_rate == 16000
     # float32 write quantizes once; reading returns exactly those values
     np.testing.assert_array_equal(back.samples, buf.samples.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+def test_file_layout(tmp_path, encoding):
+    samples = np.array([0.5, -0.25, 1.0, -1.0, 0.0])
+    path = tmp_path / "a.wav"
+    write_wav(path, AudioBuffer(samples, 8000), encoding=encoding)
+    if encoding == "float32":
+        fmt = struct.pack("<HHIIHH", 3, 1, 8000, 32000, 4, 32)
+        chunks = b"fmt " + struct.pack("<I", 16) + fmt + b"fact" + struct.pack("<II", 4, 5)
+        data = samples.astype("<f4").tobytes()
+    else:
+        fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
+        chunks = b"fmt " + struct.pack("<I", 16) + fmt
+        data = np.array([16384, -8192, 32767, -32768, 0], dtype="<i2").tobytes()
+    body = chunks + b"data" + struct.pack("<I", len(data)) + data
+    assert path.read_bytes() == b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def test_write_memory_is_one_payload_array(tmp_path):
+    """The float32 payload is written from the converted array, with no
+    bytes copies of it for the chunk or the file."""
+    buf = AudioBuffer(np.random.default_rng(2).uniform(-1, 1, 5 * 60 * 16000), 16000)
+    tracemalloc.start()
+    try:
+        write_wav(tmp_path / "a.wav", buf, encoding="float32")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= buf.num_samples * 4 + 2**20
 
 
 def test_roundtrip_pcm16_within_1_lsb(tmp_path):

@@ -1,5 +1,7 @@
 """Synthetic corpus generator: determinism, ground truth, and levels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,20 @@ def test_corpus_manifest_describes_files():
     for buf, entry in zip(buffers, entries):
         assert entry.duration_ms == buf.duration_ms
     assert interval_sets[1].intervals == []
+
+
+def test_long_file_memory_is_two_sample_arrays():
+    """5 min at 16 kHz: the envelope and the samples are the only
+    full-length arrays alive at once; the bursts are kept at their own
+    length, not as a third full-length array, and no full-length
+    temporaries are made for the sum or the peak."""
+    cfg = SynthesisConfig(duration_ms=5 * 60_000.0, rng_seed=5)
+    n = 5 * 60 * cfg.sample_rate
+    tracemalloc.start()
+    try:
+        buf, _ = synthesize_one(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert buf.samples.size == n
+    assert peak <= 2 * n * 8 + 8 * 2**20
