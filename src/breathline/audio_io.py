@@ -8,12 +8,13 @@ naming the encoding instead of being silently mangled.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import resample_poly
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, FormatError, UnsupportedFormatError
 
@@ -24,6 +25,14 @@ MAX_SAMPLE_RATE = 384000
 
 # int16 full scale; -32768 maps to -1.0 exactly
 PCM16_SCALE = 32768.0
+
+# the resampling filter is SciPy resample_poly's default: a Kaiser-
+# windowed sinc with this beta, of 20 * max(up, down) + 1 taps
+KAISER_BETA = 5.0
+# resampler working set: one phase group's filter matrix holds about
+# FILTER_ELEMENTS values, one block of input windows about BLOCK_ELEMENTS
+FILTER_ELEMENTS = 1 << 20
+BLOCK_ELEMENTS = 1 << 18
 
 _FORMAT_NAMES = {
     0x0001: "PCM",
@@ -49,9 +58,10 @@ class AudioBuffer:
         if int(self.sample_rate) <= 0:
             raise ConfigError(f"sample rate must be positive, got {self.sample_rate}")
         self.sample_rate = int(self.sample_rate)
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
+        low, high = _sample_range(self.samples)
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise ConfigError("audio samples must be finite")
-        if self.samples.size and float(np.max(np.abs(self.samples))) > 1.0 + 1e-9:
+        if max(-low, high) > 1.0 + 1e-9:
             raise ConfigError("audio samples must lie in [-1, 1]; normalize before constructing")
 
     @property
@@ -61,6 +71,14 @@ class AudioBuffer:
     @property
     def duration_ms(self) -> float:
         return 1000.0 * self.num_samples / self.sample_rate
+
+
+def _sample_range(samples: np.ndarray) -> tuple[float, float]:
+    """(min, max) of the samples, (0, 0) when empty. NaN and inf carry
+    through both reductions, and neither allocates a full-length array."""
+    if not samples.size:
+        return 0.0, 0.0
+    return float(samples.min()), float(samples.max())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -125,19 +143,19 @@ def load_wav(path) -> AudioBuffer:
     if len(data) % frame_bytes:
         data = data[: len(data) - len(data) % frame_bytes]
 
+    raw = np.frombuffer(data, dtype="<i2" if audio_format == 1 else "<f4").astype(np.float64)
+    del data  # free the payload before stereo averaging allocates again
     if audio_format == 1:
-        raw = np.frombuffer(data, dtype="<i2").astype(np.float64) / PCM16_SCALE
-    else:
-        raw = np.frombuffer(data, dtype="<f4").astype(np.float64)
-
+        raw /= PCM16_SCALE
     if channels == 2:
         raw = raw.reshape(-1, 2).mean(axis=1)
 
-    if raw.size and not np.all(np.isfinite(raw)):
+    low, high = _sample_range(raw)
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise FormatError(f"{path}: non-finite sample values")
-    peak = float(np.max(np.abs(raw))) if raw.size else 0.0
+    peak = max(-low, high)
     if peak > 1.0:
-        raw = raw / peak
+        raw /= peak
     return AudioBuffer(raw, sample_rate)
 
 
@@ -177,8 +195,80 @@ def write_wav(path, buffer: AudioBuffer, encoding: str = "float32") -> None:
                 fh.write(b"\x00")
 
 
+def _lowpass(up: int, down: int) -> tuple[np.ndarray, int]:
+    """resample_poly's default filter and its half length:
+    `firwin(2*half_len + 1, 1/max_rate, window=("kaiser", 5.0)) * up`,
+    with half_len = 10 * max_rate, as a sinc times np.kaiser normalised
+    to a DC gain of `up`."""
+    max_rate = max(up, down)
+    half_len = 10 * max_rate
+    cutoff = 1.0 / max_rate
+    # both factors are symmetric bit for bit, so compute the first half
+    # (np.kaiser's expression with n - alpha = m) and mirror it
+    m = np.arange(-half_len, 1.0)
+    half = cutoff * np.sinc(cutoff * m)
+    half *= np.i0(KAISER_BETA * np.sqrt(1 - (m / half_len) ** 2.0)) / np.i0(KAISER_BETA)
+    h = np.concatenate((half, half[-2::-1]))
+    h /= h.sum()
+    h *= up
+    return h, half_len
+
+
+def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """SciPy's `resample_poly(x, up, down)` for 1-D float64 x, with its
+    zero padding, alignment and ceil(n * up / down) output length.
+
+    Output m is the sum over inputs i of x[i] * h[m*down + offset - i*up].
+    The outputs are laid out in rows of k*up, and row r reads the inputs
+    from r*k*down on, so each column takes the same taps in every row:
+    a block of rows is one matmul of strided input windows by a matrix
+    that holds each column's reversed taps at its input offset. A matmul
+    takes about taps*up/down columns, which keeps its windows within
+    about two filter lengths; a row with more (a large `up`, from rates
+    coprime with the target) goes in groups of columns.
+    """
+    n_in = x.size
+    n_out = -(-n_in * up // down)
+    h, half_len = _lowpass(up, down)
+    n_pre_pad = down - half_len % down
+    offset = (half_len + n_pre_pad) // down * down - n_pre_pad
+    taps = -(-h.size // up)
+    columns = max(1, min(taps * up // down, FILTER_ELEMENTS // (2 * taps + 1)))
+    k = max(1, columns // up)
+    row_len, stride = k * up, k * down
+    rows = -(-n_out // row_len)
+    out = np.empty((rows, row_len))
+    for c0 in range(0, row_len, columns):
+        c1 = min(c0 + columns, row_len)
+        d = np.arange(c0, c1) * down + offset  # column c takes h[d[c] - j*up] from input r*stride + j
+        first = -((h.size - 1 - d[0]) // up)
+        width = int(d[-1] // up - first + 1)
+        tap = d - (first + np.arange(width))[:, None] * up
+        taps_matrix = np.where((tap >= 0) & (tap < h.size), h[tap % h.size], 0.0)
+        # rows whose windows reach past an end of the input are their own
+        # blocks, read from a small zero-padded copy; the rest are views
+        head = min(rows, max(0, -(first // stride)))
+        tail = min(rows, max(head, (n_in - first - width) // stride + 1))
+        step = max(1, BLOCK_ELEMENTS // width)
+        for r0, r1 in itertools.pairwise(sorted({0, *range(head, tail, step), tail, rows})):
+            lo = r0 * stride + first
+            hi = (r1 - 1) * stride + first + width
+            if 0 <= lo and hi <= n_in:
+                seg = x[lo:hi]
+            else:
+                seg = np.zeros(hi - lo)
+                a, b = max(lo, 0), min(hi, n_in)
+                if a < b:
+                    seg[a - lo : b - lo] = x[a:b]
+            item = seg.strides[0]
+            windows = as_strided(seg, shape=(r1 - r0, width), strides=(stride * item, item), writeable=False)
+            out[r0:r1, c0:c1] = np.ascontiguousarray(windows) @ taps_matrix
+    return out.reshape(-1)[:n_out]
+
+
 def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
-    """Band-limited (windowed-sinc polyphase) resampling.
+    """Band-limited (Kaiser-windowed sinc polyphase) resampling, equal to
+    SciPy's resample_poly with its default window within 1e-12.
 
     Output length is ceil(n * target / source), keeping total duration
     within one output sample period of the input duration.
@@ -188,6 +278,5 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     if target_rate == buffer.sample_rate:
         return buffer
     g = math.gcd(target_rate, buffer.sample_rate)
-    up, down = target_rate // g, buffer.sample_rate // g
-    out = resample_poly(buffer.samples, up, down)
-    return AudioBuffer(np.clip(out, -1.0, 1.0), target_rate)
+    out = _resample_poly(buffer.samples, target_rate // g, buffer.sample_rate // g)
+    return AudioBuffer(np.clip(out, -1.0, 1.0, out=out), target_rate)

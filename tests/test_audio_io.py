@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 
@@ -135,8 +136,12 @@ def test_buffer_validation():
         AudioBuffer(np.zeros((2, 2)), 16000)
     with pytest.raises(ConfigError):
         AudioBuffer(np.zeros(10), 0)
-    with pytest.raises(ConfigError):
-        AudioBuffer(np.array([0.0, np.nan]), 16000)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            AudioBuffer(np.array([0.0, bad]), 16000)
+    with pytest.raises(ConfigError, match=r"\[-1, 1\]"):
+        AudioBuffer(np.array([0.0, -1.5]), 16000)
+    assert AudioBuffer(np.zeros(0), 16000).num_samples == 0
 
 
 def test_resample_identity_and_length():
@@ -156,6 +161,64 @@ def test_resample_preserves_tone_bin():
     spectrum = np.abs(np.fft.rfft(out.samples))
     peak_hz = np.argmax(spectrum) * 16000.0 / len(out.samples)
     assert abs(peak_hz - 200.0) <= 16000.0 / len(out.samples)
+
+
+@pytest.mark.parametrize("rate", [8000, 11025, 22050, 32000, 44100, 44101, 48000, 96000])
+def test_resample_matches_scipy_resample_poly(rate):
+    """The numpy polyphase filter is SciPy's resample_poly with its
+    default Kaiser window, clipped: same length, values within 1e-12,
+    and no samples from no samples. 44101 Hz is coprime with 16 kHz, so
+    its 16000 phases come in groups."""
+    from scipy.signal import resample_poly
+
+    g = math.gcd(16000, rate)
+    rng = np.random.default_rng(rate)
+    for n in (0, 1, 5, 1000, 2 * rate):
+        x = rng.uniform(-1, 1, n)
+        want = np.clip(resample_poly(x, 16000 // g, rate // g), -1.0, 1.0)
+        got = resample(AudioBuffer(x, rate), 16000).samples
+        assert got.shape == want.shape, n
+        if n:
+            assert np.max(np.abs(got - want)) <= 1e-12, n
+
+
+def test_resample_memory_is_output_plus_blocks():
+    """60 s at 44.1 kHz: the input is read through strided views, never
+    copied whole, so the peak is the output plus a bounded working set."""
+    buf = AudioBuffer(np.random.default_rng(3).uniform(-1, 1, 60 * 44100), 44100)
+    tracemalloc.start()
+    try:
+        out = resample(buf, 16000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.samples.nbytes + 4 * 2**20
+
+
+def test_load_wav_memory_is_payload_plus_one_array(tmp_path):
+    """Scaling and the finiteness and range checks allocate no array the
+    length of the file beyond the float64 samples."""
+    path = tmp_path / "a.wav"
+    write_wav(path, AudioBuffer(np.random.default_rng(4).uniform(-1, 1, 60 * 16000), 16000), encoding="float32")
+    tracemalloc.start()
+    try:
+        back = load_wav(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= back.num_samples * 4 + back.samples.nbytes + 2**20
+
+
+def test_load_wav_rejects_non_finite_and_normalises_loud_float(tmp_path):
+    path = tmp_path / "a.wav"
+    write_wav(path, AudioBuffer(np.array([0.5, -0.25, 1.0]), 16000), encoding="float32")
+    blob = path.read_bytes()
+    for bad in (math.nan, math.inf, -math.inf):
+        path.write_bytes(blob[:-4] + struct.pack("<f", bad))
+        with pytest.raises(FormatError, match="non-finite sample values"):
+            load_wav(path)
+    path.write_bytes(blob[:-4] + struct.pack("<f", -2.0))
+    np.testing.assert_array_equal(load_wav(path).samples, [0.25, -0.125, -1.0])
 
 
 def test_write_rejects_unknown_encoding(tmp_path):

@@ -8,14 +8,17 @@ import logging
 import multiprocessing
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import breathline
 from breathline import evaluation
+from breathline.audio_io import AudioBuffer, write_wav
 from breathline.cli import main, _setup_logging
 from breathline.manifest import load_manifest, save_manifest
 from breathline.nn import load_model
@@ -257,6 +260,38 @@ def test_out_of_range_sample_rate(tmp_path, podcast_dir, detector, capsys, comma
         assert list(errors) == ["real-0002"] and "sample rate" in errors["real-0002"]
     else:
         assert err.startswith("error:") and "sample rate" in err
+
+
+def _nan_float_wav(path):
+    write_wav(path, AudioBuffer(np.zeros(1600), 16000), encoding="float32")
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-4] + struct.pack("<f", float("nan")))
+
+
+@pytest.mark.parametrize("write, error", [
+    (lambda path: write_wav(path, AudioBuffer(np.zeros(0), 16000)), "total_duration_ms must be positive"),
+    (lambda path: write_wav(path, AudioBuffer(np.full(100, 0.1), 16000)), None),
+    (_nan_float_wav, "non-finite sample values"),
+], ids=["empty", "shorter than one window", "nan"])
+def test_detect_degenerate_audio(tmp_path, podcast_dir, detector, capsys, write, error):
+    """An empty or NaN WAV is a per-file error; audio shorter than one
+    20 ms window has 0 breaths. Neither prints a traceback."""
+    _, model_path = detector
+    corpus = tmp_path / "corpus"
+    shutil.copytree(podcast_dir, corpus)
+    write(corpus / "real-0002.wav")
+    out = tmp_path / "det"
+    assert main(["detect", "--manifest", str(corpus / "manifest.csv"),
+                 "--model", str(model_path), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "detect_report.json").read_text())
+    rows = {r["id"]: r for r in _read_stats(out / "stats.csv")}
+    if error is None:
+        assert report["errors"] == {} and "real-0002" in report["ok"]
+        assert (rows["real-0002"]["bpm"], rows["real-0002"]["avg_duration_ms"]) == ("0", "0")
+    else:
+        assert list(report["errors"]) == ["real-0002"] and error in report["errors"]["real-0002"]
+        assert "real-0002" not in rows
 
 
 def test_train_breath_and_test3_on_synth_fakes(tmp_path, capsys):

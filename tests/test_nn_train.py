@@ -80,10 +80,12 @@ def test_training_on_float32_equals_training_on_its_float64_values():
     assert h32 == h64
 
 
-def test_training_import_leaves_out_scipy_signal():
-    # a spawned fold worker imports only the training path; scipy.signal
-    # (resampling) costs about a second per process
-    code = "import sys, breathline.nn.train; print('scipy.signal' in sys.modules)"
+@pytest.mark.parametrize("module", ["breathline.nn.train", "breathline.cli"])
+def test_training_import_leaves_out_scipy_signal(module):
+    # a spawned fold worker imports the training path and every CLI call
+    # imports the CLI; scipy.signal costs about a second per process, and
+    # resampling is numpy's own polyphase filter
+    code = f"import sys, {module}; print('scipy.signal' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(breathline.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
