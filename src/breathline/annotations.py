@@ -71,23 +71,27 @@ def load_annotations(path, total_duration_ms: float) -> BreathIntervalSet:
     Overlapping or reversed intervals raise a ValidationError that lists
     the offending line numbers.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not a UTF-8 label track: {exc}") from exc
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ValidationError(f"{path}:{lineno}: expected start<TAB>end<TAB>label, got {line!r}")
-            label = parts[2].strip() if len(parts) > 2 else BREATH_LABEL
-            if label.lower() != BREATH_LABEL:
-                continue
-            try:
-                start_s, end_s = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: non-numeric interval bounds") from exc
-            rows.append((lineno, start_s * 1000.0, end_s * 1000.0))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2:
+            raise ValidationError(f"{path}:{lineno}: expected start<TAB>end<TAB>label, got {line!r}")
+        label = parts[2].strip() if len(parts) > 2 else BREATH_LABEL
+        if label.lower() != BREATH_LABEL:
+            continue
+        try:
+            start_s, end_s = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: non-numeric interval bounds") from exc
+        rows.append((lineno, start_s * 1000.0, end_s * 1000.0))
 
     bad = [str(n) for n, s, e in rows if not (s < e)]
     if bad:

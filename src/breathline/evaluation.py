@@ -503,18 +503,22 @@ _EXPERIMENT_KEYS = {
 
 def parse_experiment_config(path) -> dict:
     out = {}
-    with open(path) as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key not in _EXPERIMENT_KEYS:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                out[key] = _EXPERIMENT_KEYS[key](value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 settings file: {exc}") from exc
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _EXPERIMENT_KEYS:
+            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        try:
+            out[key] = _EXPERIMENT_KEYS[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from exc
     return out

@@ -8,6 +8,7 @@ annotation_path`) whose sources are local paths.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,35 +35,37 @@ class ManifestEntry:
             raise ValidationError(f"entry {self.id!r}: label must be one of {LABELS}, got {self.label!r}")
         if not self.outlet:
             raise ValidationError(f"entry {self.id!r}: outlet/show must be non-empty")
-        if self.duration_ms is not None and self.duration_ms < 0:
-            raise ValidationError(f"entry {self.id!r}: negative duration_ms")
+        if self.duration_ms is not None and not 0 <= self.duration_ms < math.inf:
+            raise ValidationError(f"entry {self.id!r}: duration_ms must be finite and non-negative, got {self.duration_ms}")
 
 
 def load_manifest(path) -> list[ManifestEntry]:
     """Read a manifest CSV, validating labels and id uniqueness."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header, rows = reader.fieldnames, list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: not a readable UTF-8 CSV: {exc}") from exc
+    if header != MANIFEST_FIELDS:
+        raise ValidationError(f"{path}: manifest header must be {','.join(MANIFEST_FIELDS)}, got {header}")
     entries = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != MANIFEST_FIELDS:
-            raise ValidationError(
-                f"{path}: manifest header must be {','.join(MANIFEST_FIELDS)}, got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            duration = row.get("duration_ms") or None
-            try:
-                entries.append(
-                    ManifestEntry(
-                        id=row["id"],
-                        source=row["source"],
-                        label=row["label"],
-                        speaker_id=row.get("speaker_id") or None,
-                        outlet=row["outlet"],
-                        duration_ms=float(duration) if duration is not None else None,
-                        annotation_path=row.get("annotation_path") or None,
-                    )
+    for lineno, row in enumerate(rows, start=2):
+        duration = row.get("duration_ms") or None
+        try:
+            entries.append(
+                ManifestEntry(
+                    id=row["id"],
+                    source=row["source"],
+                    label=row["label"],
+                    speaker_id=row.get("speaker_id") or None,
+                    outlet=row["outlet"],
+                    duration_ms=float(duration) if duration is not None else None,
+                    annotation_path=row.get("annotation_path") or None,
                 )
-            except (ValidationError, ValueError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except (ValidationError, ValueError) as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     seen = set()
     for entry in entries:
         if entry.id in seen:

@@ -442,6 +442,42 @@ def test_bad_setting_exits_2(tmp_path, podcast_dir, detector, capsys, command, e
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda text: text + b"\xff\n",
+    lambda text: text + b"big," + b"x" * 131073 + b",real,,show1,,\n",
+], ids=["non-utf8 byte", "oversized field"])
+def test_unreadable_manifest_exits_1(tmp_path, podcast_dir, capsys, corrupt):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(corrupt((podcast_dir / "manifest.csv").read_bytes()))
+    rc = main(["train-breath", "--manifest", str(manifest), "--out", str(tmp_path / "out"), "--epochs", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(manifest) in err and "Traceback" not in err
+
+
+def test_non_utf8_label_track_exits_1(tmp_path, podcast_dir, capsys):
+    for item in podcast_dir.iterdir():
+        if item.suffix in (".wav", ".tsv", ".csv"):
+            shutil.copy(item, tmp_path / item.name)
+    track = tmp_path / "real-0000.tsv"
+    track.write_bytes(b"\xff" + track.read_bytes())
+    rc = main(["train-breath", "--manifest", str(tmp_path / "manifest.csv"), "--out", str(tmp_path / "out"),
+               "--epochs", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(track) in err and "Traceback" not in err
+
+
+def test_non_utf8_settings_file_exits_2(tmp_path, podcast_dir, capsys):
+    config = tmp_path / "settings.cfg"
+    config.write_bytes("experiment = test1\n# caf\xe9\n".encode("latin-1"))
+    rc = main(["evaluate", "--manifest", str(podcast_dir / "manifest.csv"), "--out", str(tmp_path / "out"),
+               "--config", str(config)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(config) in err and "Traceback" not in err
+
+
 def test_detect_uses_the_detectors_features(tmp_path, podcast_dir):
     train_out, out = tmp_path / "train", tmp_path / "det"
     assert main(["train-breath", "--manifest", str(podcast_dir / "manifest.csv"), "--hop-ms", "5",

@@ -1,5 +1,6 @@
 """Feature extraction: mel bands, ZCR, RMSE, and framing."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -199,14 +200,67 @@ def test_window_and_filterbank_are_cached_read_only():
         bank[0, 0] = 1.0
     with pytest.raises(ValueError):
         features._hann(WINDOW)[0] = 1.0
+    bands = features._filter_bands(128, 512, SR)
+    assert features._filter_bands(128, 512, SR) is bands
+    with pytest.raises(ValueError):
+        bands[0][2][0, 0] = 1.0
+
+
+# (n_mels, fft_size, sample_rate); (256, 512, 16000) has 24 filters with no
+# nonzero weight, and (512, 256, 16000) whole groups of them (zero-width bands)
+BAND_CONFIGS = [(128, 512, 16000), (256, 512, 16000), (40, 256, 8000), (128, 1024, 22050), (1, 512, 16000), (512, 256, 16000)]
+
+
+@pytest.mark.parametrize("n_mels,fft_size,sample_rate", BAND_CONFIGS)
+def test_filter_bands_are_the_filterbank(n_mels, fft_size, sample_rate):
+    bank = features.mel_filterbank(n_mels, fft_size, sample_rate)
+    rebuilt = np.zeros_like(bank)
+    covered = np.zeros(n_mels, dtype=int)
+    for mels, bins, weights in features._filter_bands(n_mels, fft_size, sample_rate):
+        assert weights.shape == (bins.stop - bins.start, mels.stop - mels.start)
+        rebuilt[mels, bins] += weights.T  # a weight counted twice would double
+        covered[mels] += 1
+    assert np.all(covered == 1)
+    assert rebuilt.tobytes() == bank.tobytes()  # and a dropped one would be missing
+
+    window = fft_size * 5 // 8  # its next power of two is fft_size
+    frames = np.random.default_rng(n_mels).normal(0, 0.1, (37, window))
+    power = np.abs(np.fft.rfft(frames * features._hann(window), n=fft_size, axis=1)) ** 2
+    want = 10.0 * np.log10(np.maximum(power @ bank.T, features.POWER_EPS))
+    got = mel_spectrogram_db(frames, n_mels, sample_rate)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    empty = ~bank.any(axis=1)
+    assert np.all(got[:, empty] == -100.0)
+
+
+def test_extraction_on_two_threads_equals_sequential():
+    signals = [np.clip(np.random.default_rng(seed).normal(0, 0.1, 3 * SR + 17 * seed), -1, 1) for seed in (7, 8)]
+    want = [extract_features(AudioBuffer(x, SR)).data.tobytes() for x in signals]
+    got = [None, None]
+
+    def run(i):
+        for _ in range(3):
+            data = extract_features(AudioBuffer(signals[i], SR)).data.tobytes()
+            got[i] = data if got[i] in (None, data) else b"differs"
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert got == want
 
 
 def test_extraction_memory_is_output_plus_a_block():
     """5 min of audio: besides the float32 output, extraction holds one
-    block's frames, spectrum and mel power (about 8 MB). The whole frames
-    are views of the samples, so there is no whole-file spectrum (about
-    100 MB per audio-minute) and no zero-padded copy of the signal (about
-    7.7 MB per audio-minute)."""
+    call's buffers, 2.9 MiB (256 rows of 520 padded window columns, 257
+    complex bins, 257 power bins and 128 mel bands, and one block's span
+    of squared samples), and ZCR's two boolean blocks. Measured output +
+    3.2 MiB; the bound is that plus 2 MiB. The whole frames are views of
+    the samples, so there is no whole-file spectrum (about 100 MB per
+    audio-minute) and no zero-padded copy of the signal (about 7.7 MB per
+    audio-minute)."""
     x = np.random.default_rng(6).normal(0, 0.1, 5 * 60 * SR)
     extract_features(AudioBuffer(x[:SR], SR))  # build the cached window and filterbank first
     tracemalloc.start()
@@ -215,4 +269,4 @@ def test_extraction_memory_is_output_plus_a_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= fm.data.nbytes + 16 * 2**20
+    assert peak <= fm.data.nbytes + 5.2 * 2**20
