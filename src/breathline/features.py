@@ -9,21 +9,20 @@ same whatever the recording length.
 
 The mel kernel (`_MelScratch`) works in buffers that `extract_features`
 allocates once per call, with min(`BLOCK_FRAMES`, frames) rows, and
-reuses for every block: about 2.8 MiB at the defaults (256 rows of 512
-zero-padded window columns, 257 complex bins, 257 power bins and 128 mel
-bands). The windowed frames are written into the first `window` columns
-of the padded buffer, whose pad columns are zeroed once, so the FFT runs
-on it without making a padded copy. The filterbank is one matmul per
-group of `MELS_PER_BAND` consecutive filters over only the bins that
-group touches (at the defaults 504 of the 32,896 dense weights are
-nonzero). OpenBLAS adds each output's terms over the bins in order
-either way, so from 2 rows up this equals the dense `power @ bank.T` bit
-for bit; for blocks of fewer than 10 rows the dense product itself takes
-OpenBLAS's small-matrix kernels, which differ from its blocked ones by up
-to 4e-15 dB. The RMSE squares each sample once, into a buffer of one
-block's span, and averages the squares under each frame in the same
-order as over the frame's own squares. `mel_spectrogram_db` runs the
-same kernel with buffers of its own; no buffer outlives a call, so
+reuses for every block: about 1.8 MiB at the defaults (256 rows of 512
+zero-padded window columns, 257 power bins and 128 mel bands), plus the
+1 MiB complex spectrum the FFT returns per block. The windowed frames
+are written into the first `window` columns of the padded buffer, whose
+pad columns are zeroed once, so the FFT runs on it without making a
+padded copy. The filterbank is one matmul per group of `MELS_PER_BAND`
+consecutive filters over only the bins that group touches (at the
+defaults 504 of the 32,896 dense weights are nonzero). OpenBLAS adds
+each output's terms over the bins in order either way, so from 2 rows up
+this equals the dense `power @ bank.T` bit for bit; for blocks of fewer
+than 10 rows the dense product itself takes OpenBLAS's small-matrix
+kernels, which differ from its blocked ones by up to 4e-15 dB.
+`extract_features` hands its buffers to `mel_spectrogram_db`, which
+otherwise makes buffers of its own; no buffer outlives a call, so
 threads can extract at once.
 """
 
@@ -44,15 +43,13 @@ AMP_EPS = 1e-5
 
 # frames per feature block: few enough that one block's buffers (about
 # 2.8 MiB at the defaults) stay near the size of a core's L2 cache (2 MiB
-# on the Xeon measured); blocks of 800 frames took about 20% longer there
+# on the Xeon measured); with blocks of 800 frames `detect` on a 5-minute
+# file took about 10% longer there
 BLOCK_FRAMES = 256
 # mel filters per filterbank matmul: with 8 the banded product is
 # bit-identical to the dense one, with 4 it is not (OpenBLAS takes
 # another kernel for such narrow matrices)
 MELS_PER_BAND = 8
-# float64 columns after the FFT input in each padded-frame row (one cache
-# line): at a power-of-two row stride the rFFT took about 1.5x as long
-ROW_PAD = 8
 
 
 @dataclass(frozen=True)
@@ -109,19 +106,14 @@ class FeatureMatrix:
         return self.data.shape[0]
 
 
-def _span(samples: np.ndarray, window: int, hop: int, start: int, stop: int) -> np.ndarray:
-    """The samples under frames [start, stop) of the zero-padded framing:
-    a view of `samples` where they cover every frame, else a zero-padded
-    copy of just this span."""
+def _frames(samples: np.ndarray, window: int, hop: int, start: int, stop: int) -> np.ndarray:
+    """Frames [start, stop) of the zero-padded framing, shape
+    (stop - start, window): a view of `samples` where they cover every
+    frame, else a zero-padded copy of just this span."""
     span = samples[start * hop : (stop - 1) * hop + window]
     needed = (stop - start - 1) * hop + window
     if len(span) < needed:
         span = np.concatenate([span, np.zeros(needed - len(span))])
-    return span
-
-
-def _frames(span: np.ndarray, window: int, hop: int) -> np.ndarray:
-    """The (frames, window) view of a span's frames."""
     return np.lib.stride_tricks.sliding_window_view(span, window)[::hop]
 
 
@@ -135,11 +127,7 @@ def zcr(frames: np.ndarray) -> np.ndarray:
 
 def rmse_db(frames: np.ndarray) -> np.ndarray:
     """Root-mean-square energy per frame in dB, floored at -100 dB."""
-    return _rms_db(frames**2)
-
-
-def _rms_db(squares: np.ndarray) -> np.ndarray:
-    rms = np.sqrt(np.mean(squares, axis=1))
+    rms = np.sqrt(np.mean(frames**2, axis=1))
     return 20.0 * np.log10(np.maximum(rms, AMP_EPS))
 
 
@@ -216,28 +204,27 @@ def _filter_bands(n_mels: int, fft_size: int, sample_rate: int) -> tuple:
 
 
 class _MelScratch:
-    """Buffers for up to `rows` frames of `window` samples: the windowed
-    frames zero-padded to the FFT size (the pad columns are zeroed once
-    and never written), their spectrum, its power and their mel power."""
+    """Buffers for the mel spectrogram of up to `rows` frames of `window`
+    samples: the windowed frames zero-padded to the FFT size (the pad
+    columns are zeroed once and never written), their power spectrum and
+    their mel power."""
 
     def __init__(self, rows: int, window: int, n_mels: int, sample_rate: int):
         self.window = window
         fft_size = _next_pow2(window)
         self.hann = _hann(window)
         self.bands = _filter_bands(n_mels, fft_size, sample_rate)
-        self.padded = np.zeros((rows, fft_size + ROW_PAD))[:, :fft_size]
-        self.spectrum = np.empty((rows, fft_size // 2 + 1), dtype=np.complex128)
+        self.padded = np.zeros((rows, fft_size))
         self.power = np.empty((rows, fft_size // 2 + 1))
         self.mel = np.empty((rows, n_mels))
 
     def mel_db(self, frames: np.ndarray) -> np.ndarray:
-        """`mel_spectrogram_db(frames, ...)` as a view of the mel buffer,
-        which the next call overwrites."""
+        """The mel spectrogram in dB of `frames` as a view of the mel
+        buffer, which the next call overwrites."""
         n = frames.shape[0]
-        padded, spectrum, power, mel = self.padded[:n], self.spectrum[:n], self.power[:n], self.mel[:n]
+        padded, power, mel = self.padded[:n], self.power[:n], self.mel[:n]
         np.multiply(frames, self.hann, out=padded[:, : self.window])
-        np.fft.rfft(padded, axis=1, out=spectrum)
-        np.abs(spectrum, out=power)
+        np.abs(np.fft.rfft(padded, axis=1), out=power)
         power *= power
         for mels, bins, weights in self.bands:
             np.matmul(power[:, bins], weights, out=mel[:, mels])
@@ -247,11 +234,20 @@ class _MelScratch:
         return mel
 
 
-def mel_spectrogram_db(frames: np.ndarray, n_mels: int, sample_rate: int) -> np.ndarray:
+def mel_spectrogram_db(
+    frames: np.ndarray, n_mels: int, sample_rate: int, *, scratch: _MelScratch | None = None
+) -> np.ndarray:
     """Mel power spectrogram in dB. Periodic Hann window, FFT size the
-    next power of two at or above the window length, floor -100 dB."""
-    rows, window = frames.shape
-    return _MelScratch(rows, window, n_mels, sample_rate).mel_db(frames)
+    next power of two at or above the window length, floor -100 dB.
+
+    `scratch`, built for at least as many rows and the same window,
+    n_mels and sample_rate, is used in place of one-shot buffers; the
+    result is then a view into it that the next call overwrites.
+    """
+    if scratch is None:
+        rows, window = frames.shape
+        scratch = _MelScratch(rows, window, n_mels, sample_rate)
+    return scratch.mel_db(frames)
 
 
 def extract_features(buffer: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
@@ -259,15 +255,11 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig = FeatureConfig(
     hop = config.hop_samples(buffer.sample_rate)
     num_frames = buffer.num_samples // hop
     data = np.empty((num_frames, config.dim), dtype=np.float32)
-    rows = min(BLOCK_FRAMES, num_frames)
-    scratch = _MelScratch(rows, window, config.n_mels, buffer.sample_rate)
-    squares = np.empty((rows - 1) * hop + window)
+    scratch = _MelScratch(min(BLOCK_FRAMES, num_frames), window, config.n_mels, buffer.sample_rate)
     for start in range(0, num_frames, BLOCK_FRAMES):
-        span = _span(buffer.samples, window, hop, start, min(start + BLOCK_FRAMES, num_frames))
-        block = _frames(span, window, hop)
-        out = data[start : start + BLOCK_FRAMES]
-        out[:, : config.n_mels] = scratch.mel_db(block)
-        out[:, config.n_mels] = zcr(block)
-        out[:, config.n_mels + 1] = _rms_db(_frames(np.square(span, out=squares[: len(span)]), window, hop))
+        block = _frames(buffer.samples, window, hop, start, min(start + BLOCK_FRAMES, num_frames))
+        rows = data[start : start + BLOCK_FRAMES]
+        rows[:, : config.n_mels] = mel_spectrogram_db(block, config.n_mels, buffer.sample_rate, scratch=scratch)
+        rows[:, config.n_mels] = zcr(block)
+        rows[:, config.n_mels + 1] = rmse_db(block)
     return FeatureMatrix(data, config)
-
