@@ -40,7 +40,7 @@ from .classifiers import (
     tree_train,
 )
 from .errors import BreathlineError, ConfigError, InputError, ValidationError
-from .features import FeatureConfig, extract_features
+from .features import FeatureConfig, extract_features, usable_cpus
 from .manifest import ManifestEntry, load_manifest
 from .metrics import EvalReport, ScoredPredictions, auprc, eer, point_metrics
 from .nn import BreathDetectorModel, ModelConfig, TrainConfig
@@ -131,11 +131,6 @@ FoldSpec = tuple[list[tuple[np.ndarray, np.ndarray]], list[tuple[np.ndarray, np.
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; `taskset` narrows them."""
-    return len(os.sched_getaffinity(0))
-
-
 @contextlib.contextmanager
 def _single_threaded_blas():
     """Set BLAS_THREAD_VARS to 1 inside the block, then restore each one,
@@ -183,7 +178,7 @@ def _fold_auprcs(specs: list[FoldSpec], model_config: ModelConfig, train_config:
         (train_pairs, [features for features, _ in val_pairs], model_config, train_config, seed)
         for train_pairs, val_pairs, seed in specs
     ]
-    workers = min(len(jobs), _usable_cpus())
+    workers = min(len(jobs), usable_cpus())
     if workers > 1:
         outputs = _fit_in_processes(jobs, workers)
     else:

@@ -7,29 +7,42 @@ math runs in float64; the stored matrix is float32. Frames go through
 the spectrum in blocks of `BLOCK_FRAMES`, so the working set stays the
 same whatever the recording length.
 
-The mel kernel (`_MelScratch`) works in buffers that `extract_features`
-allocates once per call, with min(`BLOCK_FRAMES`, frames) rows, and
-reuses for every block: about 1.8 MiB at the defaults (256 rows of 512
-zero-padded window columns, 257 power bins and 128 mel bands), plus the
-1 MiB complex spectrum the FFT returns per block. The windowed frames
-are written into the first `window` columns of the padded buffer, whose
-pad columns are zeroed once, so the FFT runs on it without making a
-padded copy. The filterbank is one matmul per group of `MELS_PER_BAND`
-consecutive filters over only the bins that group touches (at the
-defaults 504 of the 32,896 dense weights are nonzero). OpenBLAS adds
-each output's terms over the bins in order either way, so from 2 rows up
-this equals the dense `power @ bank.T` bit for bit; for blocks of fewer
-than 10 rows the dense product itself takes OpenBLAS's small-matrix
-kernels, which differ from its blocked ones by up to 4e-15 dB.
-`extract_features` hands its buffers to `mel_spectrogram_db`, which
-otherwise makes buffers of its own; no buffer outlives a call, so
-threads can extract at once.
-"""
+`extract_features` splits a recording's blocks into contiguous shares,
+one per usable CPU (`usable_cpus`) and never more shares than blocks.
+The calling thread builds one scratch (`_MelScratch`) per share, which
+also fills the window and filterbank caches, then starts one helper
+thread per share after the first, works through share 0 itself and
+joins the helpers. Each share writes only its own rows of the output,
+and block boundaries and the per-block arithmetic are the same at any
+share count, so the features are byte-identical whatever the CPU count.
+With one usable CPU (for example under `taskset -c 0`) share 0 is the
+whole recording and no thread is started.
 
+The mel kernel (`_MelScratch`) works in buffers with min(`BLOCK_FRAMES`,
+frames) rows, at least 2, which a share reuses for every block: about
+1.8 MiB at the defaults (256 rows of 512 zero-padded window columns, 257
+power bins and 128 mel bands), plus the 1 MiB complex spectrum the FFT
+returns per block. The windowed frames are written into the first
+`window` columns of the padded buffer, whose pad columns are zeroed once,
+so the FFT runs on it without making a padded copy. The filterbank is
+one matmul per group of `MELS_PER_BAND` consecutive filters over only
+the bins that group touches (at the defaults 504 of the 32,896 dense
+weights are nonzero). OpenBLAS adds each output's terms over the bins in
+order either way, so from 2 rows up this equals the dense
+`power @ bank.T` of a large block bit for bit; a single frame is still
+multiplied as 2 rows, because OpenBLAS's one-row kernel (gemv) rounds
+differently. (The dense product itself takes OpenBLAS's small-matrix
+kernels below 10 rows, which differ from its blocked ones by up to
+4e-15 dB.) `extract_features` hands each share's buffers to
+`mel_spectrogram_db`, which otherwise makes buffers of its own; no
+buffer outlives a call, so threads can extract at once.
+"""
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +63,11 @@ BLOCK_FRAMES = 256
 # bit-identical to the dense one, with 4 it is not (OpenBLAS takes
 # another kernel for such narrow matrices)
 MELS_PER_BAND = 8
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; `taskset` narrows them."""
+    return len(os.sched_getaffinity(0))
 
 
 @dataclass(frozen=True)
@@ -210,6 +228,7 @@ class _MelScratch:
     their mel power."""
 
     def __init__(self, rows: int, window: int, n_mels: int, sample_rate: int):
+        rows = max(rows, 2)  # see mel_db
         self.window = window
         fft_size = _next_pow2(window)
         self.hann = _hann(window)
@@ -222,8 +241,12 @@ class _MelScratch:
         """The mel spectrogram in dB of `frames` as a view of the mel
         buffer, which the next call overwrites."""
         n = frames.shape[0]
-        padded, power, mel = self.padded[:n], self.power[:n], self.mel[:n]
-        np.multiply(frames, self.hann, out=padded[:, : self.window])
+        # at least 2 rows: for one row OpenBLAS takes gemv, whose sums
+        # round differently from the gemm of every larger block; a spare
+        # row holds zeros or an earlier frame, and is not returned
+        rows = max(n, 2)
+        padded, power, mel = self.padded[:rows], self.power[:rows], self.mel[:rows]
+        np.multiply(frames, self.hann, out=padded[:n, : self.window])
         np.abs(np.fft.rfft(padded, axis=1), out=power)
         power *= power
         for mels, bins, weights in self.bands:
@@ -231,7 +254,7 @@ class _MelScratch:
         np.maximum(mel, POWER_EPS, out=mel)
         np.log10(mel, out=mel)
         mel *= 10.0
-        return mel
+        return mel[:n]
 
 
 def mel_spectrogram_db(
@@ -255,11 +278,39 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig = FeatureConfig(
     hop = config.hop_samples(buffer.sample_rate)
     num_frames = buffer.num_samples // hop
     data = np.empty((num_frames, config.dim), dtype=np.float32)
-    scratch = _MelScratch(min(BLOCK_FRAMES, num_frames), window, config.n_mels, buffer.sample_rate)
-    for start in range(0, num_frames, BLOCK_FRAMES):
-        block = _frames(buffer.samples, window, hop, start, min(start + BLOCK_FRAMES, num_frames))
-        rows = data[start : start + BLOCK_FRAMES]
-        rows[:, : config.n_mels] = mel_spectrogram_db(block, config.n_mels, buffer.sample_rate, scratch=scratch)
-        rows[:, config.n_mels] = zcr(block)
-        rows[:, config.n_mels + 1] = rmse_db(block)
+    starts = range(0, num_frames, BLOCK_FRAMES)
+    shares = max(1, min(usable_cpus(), len(starts)))
+    # built here, so the cached window and filterbank exist before any helper starts
+    scratches = [
+        _MelScratch(min(BLOCK_FRAMES, num_frames), window, config.n_mels, buffer.sample_rate) for _ in range(shares)
+    ]
+
+    def run_share(share: int) -> None:
+        scratch = scratches[share]
+        for start in starts[len(starts) * share // shares : len(starts) * (share + 1) // shares]:
+            block = _frames(buffer.samples, window, hop, start, min(start + BLOCK_FRAMES, num_frames))
+            rows = data[start : start + BLOCK_FRAMES]
+            rows[:, : config.n_mels] = mel_spectrogram_db(block, config.n_mels, buffer.sample_rate, scratch=scratch)
+            rows[:, config.n_mels] = zcr(block)
+            rows[:, config.n_mels + 1] = rmse_db(block)
+
+    failures = []
+
+    def run_helper(share: int) -> None:
+        try:
+            run_share(share)
+        except BaseException as exc:
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=run_helper, args=(share,)) for share in range(1, shares)]
+    try:
+        for thread in helpers:
+            thread.start()
+        run_share(0)
+    finally:
+        for thread in helpers:
+            if thread.ident is not None:  # started
+                thread.join()
+    if failures:
+        raise failures[0]
     return FeatureMatrix(data, config)

@@ -99,6 +99,14 @@ class Conv1D(Layer):
         return y
 
     def backward(self, grad):
+        gcols = self.backward_params(grad)
+        return (gcols @ self._tap_matrix().T).reshape(self._cache.shape)
+
+    def backward_params(self, grad) -> np.ndarray:
+        """The parameter half of `backward`: replaces grad_w and grad_b and
+        returns the (batch * time, kernel * out) tap gradients, from which
+        `backward` makes the input gradient. A first layer, whose input
+        gradient nothing reads, stops here."""
         x = self._cache
         batch, time, _ = x.shape
         # gcols[:, t, k] is the upstream gradient that tap k's projection
@@ -111,7 +119,7 @@ class Conv1D(Layer):
         grad_taps = (x_flat.T @ gcols).reshape(self.in_channels, self.kernel_size, self.out_channels)
         self.grad_w = grad_taps.transpose(1, 0, 2)
         self.grad_b = grad.reshape(-1, self.out_channels).sum(axis=0)
-        return (gcols @ self._tap_matrix().T).reshape(x.shape)
+        return gcols
 
 
 class BatchNorm1D(Layer):

@@ -178,13 +178,16 @@ class BreathDetectorModel:
                 x = layer.forward(x, training)
         return np.clip(x[:, :, 0], PROB_EPS, 1.0 - PROB_EPS)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> None:
         """Propagate (batch, steps) probability gradients back through the
-        most recent training forward; the clip is treated as identity."""
+        most recent training forward and set every parameter gradient; the
+        clip is treated as identity. The first conv layer's input gradient,
+        which nothing reads, is not computed."""
         g = np.asarray(grad, dtype=np.float64)[:, :, None]
-        for _, layer in reversed(self._layers):
+        (_, first), *rest = self._layers
+        for _, layer in reversed(rest):
             g = layer.backward(g)
-        return g
+        first.backward_params(g)
 
     def predict_file(self, features: np.ndarray) -> np.ndarray:
         """Score a whole file of feature frames.

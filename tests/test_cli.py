@@ -311,7 +311,7 @@ def test_train_breath_and_test3_on_synth_fakes(tmp_path, capsys):
 def test_evaluate_folds_are_identical_at_one_and_two_workers(tmp_path, podcast_dir, monkeypatch):
     digests = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
         out = tmp_path / f"cpus{cpus}"
         assert main(["evaluate", "--experiment", "test2", "--manifest", str(podcast_dir / "manifest.csv"),
                      "--epochs", "2", "--lstm-units", "8", "--seed", "4", "--out", str(out)]) == 0
@@ -330,7 +330,7 @@ def test_evaluate_fold_failures_exit_1_at_two_workers(tmp_path, monkeypatch, cap
                  "--duration-ms", "1500", "--speakers", "2"]) == 0
     args = ["evaluate", "--experiment", "test2", "--manifest", str(corpus / "manifest.csv"),
             "--epochs", "1", "--lstm-units", "4", "--out", str(tmp_path / "t2")]
-    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
     capsys.readouterr()
     # too short for one training chunk: the worker's TrainingError reaches the CLI
     assert main(args) == 1

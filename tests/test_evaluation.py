@@ -109,7 +109,7 @@ def test_test2_holds_out_by_position(frame_corpus, monkeypatch):
         return [BreathDetectorModel(model_config).predict_file(features) for features in val_features]
 
     # folds run inline at one CPU, so the parent-side job function is the one called
-    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 1)
     monkeypatch.setattr(evaluation, "fit_and_predict", record)
     items = frame_corpus + [dataclasses.replace(frame_corpus[0])]
     result = leave_one_podcast(items, FAST_MODEL, FAST_TRAIN)
@@ -140,7 +140,7 @@ def mixed_blas_env(monkeypatch):
 def test_fold_results_do_not_depend_on_worker_count(frame_corpus, monkeypatch, mixed_blas_env):
     results = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
         results[cpus] = json.dumps([
             contiguous_kfold(frame_corpus, FAST_MODEL, FAST_TRAIN, iterations=3, seed=5).to_dict(),
             leave_one_podcast(frame_corpus, FAST_MODEL, FAST_TRAIN, seed=1).to_dict(),
@@ -164,7 +164,7 @@ def test_fold_errors_keep_their_type_across_processes(frame_corpus, monkeypatch)
     # every podcast is shorter than one training chunk
     short = [dataclasses.replace(item, features=item.features[:100], frame_labels=item.frame_labels[:100])
              for item in frame_corpus]
-    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
     with pytest.raises(TrainingError, match="long enough for a 800-frame chunk"):
         leave_one_podcast(short, FAST_MODEL, FAST_TRAIN)
     assert multiprocessing.active_children() == []
@@ -181,7 +181,7 @@ def _fail_first_fold(train_pairs, val_features, model_config, train_config, seed
 
 
 def test_first_failing_fold_cancels_the_pending_ones(frame_corpus, monkeypatch, tmp_path):
-    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
     monkeypatch.setattr(evaluation, "fit_and_predict", _fail_first_fold)
     monkeypatch.setenv("FOLD_MARKS", str(tmp_path))
     iterations = 12

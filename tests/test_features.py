@@ -1,6 +1,8 @@
 """Feature extraction: mel bands, ZCR, RMSE, and framing."""
 
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -237,16 +239,17 @@ def test_extraction_calls_the_named_kernels(monkeypatch):
     """extract_features looks up mel_spectrogram_db, zcr and rmse_db by
     their module names once per block, so a wrapper put on those names
     (a profiler's or a tracer's) sees all of the kernels' time."""
-    calls = {}
+    calls = []  # list.append is atomic, and the shares call from two threads
     for name in ("mel_spectrogram_db", "zcr", "rmse_db"):
 
         def counted(*args, _name=name, _fn=getattr(features, name), **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
+            calls.append(_name)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(features, name, counted)
+    monkeypatch.setattr(features, "usable_cpus", lambda: 2)
     extract_features(AudioBuffer(np.zeros(3 * BLOCK_FRAMES * HOP + 5), SR))
-    assert calls == {"mel_spectrogram_db": 3, "zcr": 3, "rmse_db": 3}
+    assert sorted(calls) == ["mel_spectrogram_db"] * 3 + ["rmse_db"] * 3 + ["zcr"] * 3
 
 
 def test_extraction_on_two_threads_equals_sequential():
@@ -268,21 +271,145 @@ def test_extraction_on_two_threads_equals_sequential():
     assert got == want
 
 
-def test_extraction_memory_is_output_plus_a_block():
-    """5 min of audio: besides the float32 output, extraction holds one
-    call's buffers, 1.75 MiB (256 rows of 512 padded window columns, 257
-    power bins and 128 mel bands), one block's 1 MiB complex spectrum,
-    and the ZCR and RMSE temporaries of one block. Measured output + 2.8
-    MiB; the bound is that plus 2 MiB. The whole frames are views of
-    the samples, so there is no whole-file spectrum (about 100 MB per
-    audio-minute) and no zero-padded copy of the signal (about 7.7 MB per
-    audio-minute)."""
-    x = np.random.default_rng(6).normal(0, 0.1, 5 * 60 * SR)
-    extract_features(AudioBuffer(x[:SR], SR))  # build the cached window and filterbank first
+def _extraction_peak_above_output(x) -> float:
+    """tracemalloc peak of extract_features(x) minus its float32 output,
+    in MiB, with the cached window and filterbank built first."""
+    extract_features(AudioBuffer(x[:SR], SR))
     tracemalloc.start()
     try:
         fm = extract_features(AudioBuffer(x, SR))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= fm.data.nbytes + 4.8 * 2**20
+    return (peak - fm.data.nbytes) / 2**20
+
+
+def test_extraction_memory_is_output_plus_a_block(monkeypatch):
+    """5 min of audio on one share: besides the float32 output, extraction
+    holds one share's buffers, 1.75 MiB (256 rows of 512 padded window
+    columns, 257 power bins and 128 mel bands), one block's 1 MiB complex
+    spectrum, and the ZCR and RMSE temporaries of one block. Measured
+    output + 2.8 MiB; the bound is that plus 2 MiB. The whole frames are
+    views of the samples, so there is no whole-file spectrum (about 100 MB
+    per audio-minute) and no zero-padded copy of the signal (about 7.7 MB
+    per audio-minute)."""
+    monkeypatch.setattr(features, "usable_cpus", lambda: 1)
+    x = np.random.default_rng(6).normal(0, 0.1, 5 * 60 * SR)
+    assert _extraction_peak_above_output(x) <= 2.8 + 2.0
+
+
+def test_extraction_memory_at_two_shares_is_output_plus_two_shares(monkeypatch):
+    """The same 5 minutes on two shares: each share holds the working set
+    measured above, 2.8 MiB (its own 1.75 MiB of padded, power and mel
+    buffers, one block's 1 MiB complex spectrum, and one block's ZCR and
+    RMSE temporaries), so the bound is output + 2 x 2.8 MiB + 2 MiB.
+    Nothing grows with the recording's length or with the share count
+    beyond one working set per share."""
+    monkeypatch.setattr(features, "usable_cpus", lambda: 2)
+    x = np.random.default_rng(6).normal(0, 0.1, 5 * 60 * SR)
+    assert _extraction_peak_above_output(x) <= 2 * 2.8 + 2.0
+
+
+# frame counts for the share tests; each gets a tail of under one hop
+SHARE_FRAMES = [0, 1, 255, 256, 257, 513]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])  # 3 shares on a 2-CPU host: more threads than cores
+def test_features_are_the_same_bytes_at_any_share_count(cpus, monkeypatch):
+    rng = np.random.default_rng(11)
+    signals = [np.clip(rng.normal(0, 0.1, n * HOP + 13), -1, 1) for n in SHARE_FRAMES]
+    signals.append(np.clip(rng.normal(0, 0.1, 5 * 60 * SR), -1, 1))
+    monkeypatch.setattr(features, "usable_cpus", lambda: 1)
+    want = [extract_features(AudioBuffer(x, SR)).data.tobytes() for x in signals]
+    monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so shares interleave finely
+    try:
+        got = [extract_features(AudioBuffer(x, SR)).data.tobytes() for x in signals]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+class _CountedThread(threading.Thread):
+    started = []
+
+    def start(self):
+        _CountedThread.started.append(self)
+        super().start()
+
+
+@pytest.mark.parametrize("cpus,blocks,helpers", [(1, 3, 0), (2, 3, 1), (3, 3, 2), (4, 2, 1), (2, 1, 0), (2, 0, 0)])
+def test_one_helper_thread_per_share_after_the_first(cpus, blocks, helpers, monkeypatch):
+    """One usable CPU, or one block, starts no thread; otherwise one
+    helper per share after the first, and never more shares than blocks."""
+    monkeypatch.setattr(features, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(features.threading, "Thread", _CountedThread)
+    monkeypatch.setattr(_CountedThread, "started", [])
+    before = threading.active_count()
+    extract_features(AudioBuffer(np.zeros(blocks * BLOCK_FRAMES * HOP), SR))
+    assert len(_CountedThread.started) == helpers
+    assert not any(thread.is_alive() for thread in _CountedThread.started)
+    assert threading.active_count() == before
+
+
+def test_cold_caches_build_the_filterbank_once(monkeypatch):
+    """The calling thread builds every share's scratch before a helper
+    starts, so the cached filterbank is built once per config, not once
+    per racing share."""
+    built, real = [], features.mel_filterbank
+
+    def counted(*args):
+        built.append(args)
+        time.sleep(0.05)  # a slow build, as under a tracer: a racing share would build its own
+        return real(*args)
+
+    monkeypatch.setattr(features, "mel_filterbank", counted)
+    monkeypatch.setattr(features, "usable_cpus", lambda: 3)
+    for cache in (features._hann, features._cached_filterbank, features._filter_bands):
+        cache.cache_clear()
+    try:
+        extract_features(AudioBuffer(np.zeros(3 * BLOCK_FRAMES * HOP), SR))
+        extract_features(AudioBuffer(np.zeros(3 * BLOCK_FRAMES * HOP), SR))
+    finally:
+        for cache in (features._hann, features._cached_filterbank, features._filter_bands):
+            cache.cache_clear()  # drop what was built under the counting name
+    assert built == [(128, 512, SR)]
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_a_failing_share_raises_and_leaves_no_thread(failing, monkeypatch):
+    """A share that raises, on a helper or on the calling thread, comes out
+    of extract_features once every helper has been joined."""
+    real_zcr = features.zcr
+    caller = threading.current_thread()
+
+    def zcr(frames):
+        if (threading.current_thread() is caller) == (failing == "caller"):
+            raise RuntimeError(f"zcr failed on the {failing}")
+        return real_zcr(frames)
+
+    monkeypatch.setattr(features, "zcr", zcr)
+    monkeypatch.setattr(features, "usable_cpus", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"on the {failing}"):
+        extract_features(AudioBuffer(np.zeros(4 * BLOCK_FRAMES * HOP), SR))
+    assert threading.active_count() == before
+
+
+def test_a_few_frames_give_the_rows_of_a_large_block():
+    """The mel kernel multiplies at least 2 rows, so an r-frame call gives
+    the float64 rows of the same frames in a 300-frame call bit for bit
+    (with one row OpenBLAS's gemv rounds differently), and a 257-frame
+    recording, whose tail block is one frame, equals its whole-frame
+    composition."""
+    rng = np.random.default_rng(12)
+    frames = rng.normal(0, 0.1, (300, WINDOW))
+    whole = mel_spectrogram_db(frames, 128, SR)
+    for r in range(1, 16):
+        assert mel_spectrogram_db(frames[:r], 128, SR).tobytes() == whole[:r].tobytes()
+        assert mel_spectrogram_db(frames[-r:], 128, SR).tobytes() == whole[-r:].tobytes()
+    x = np.clip(rng.normal(0, 0.1, 257 * HOP + 21), -1, 1)
+    framed = _frames(x, WINDOW, HOP)
+    want = np.column_stack([mel_spectrogram_db(framed, 128, SR), zcr(framed), rmse_db(framed)]).astype(np.float32)
+    assert extract_features(AudioBuffer(x, SR)).data.tobytes() == want.tobytes()

@@ -190,3 +190,23 @@ def test_threaded_inference_matches_serial():
         t.join()
     for got, want in zip(results, serial):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("config", [SMALL, ModelConfig(conv_kernels=(1, 1), seed=4)], ids=["small", "kernel 1"])
+def test_backward_gradients_equal_the_full_chain(config):
+    """`backward` stops at the first conv layer's parameter gradients; every
+    gradient equals the one a full chain, input gradient included, sets,
+    bit for bit."""
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(3, config.chunk_frames, config.input_dim))
+    grad = rng.normal(size=(3, config.chunk_frames // config.frames_per_step))
+    model = BreathDetectorModel(config)
+    model.forward(x, training=True, rng=np.random.default_rng(5))
+    assert model.backward(grad) is None
+    got = {name: g.tobytes() for name, g in model.gradients().items()}
+    model.forward(x, training=True, rng=np.random.default_rng(5))
+    g = grad[:, :, None]
+    for _, layer in reversed(model._layers):
+        g = layer.backward(g)
+    assert g.shape == x.shape
+    assert got == {name: g.tobytes() for name, g in model.gradients().items()}
