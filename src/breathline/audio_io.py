@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -33,6 +34,9 @@ KAISER_BETA = 5.0
 # FILTER_ELEMENTS values, one block of input windows about BLOCK_ELEMENTS
 FILTER_ELEMENTS = 1 << 20
 BLOCK_ELEMENTS = 1 << 18
+# the filter's taps are computed this many at a time, so its temporaries
+# stay small beside the filter itself (8 bytes per tap)
+FILTER_PIECE = 1 << 16
 
 _FORMAT_NAMES = {
     0x0001: "PCM",
@@ -81,10 +85,13 @@ def _sample_range(samples: np.ndarray) -> tuple[float, float]:
     return float(samples.min()), float(samples.max())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated WAV file while reading {what}")
+def _read_chunk(fh, path, size: int, what: str) -> bytes:
+    """A chunk body of `size` bytes. The size is checked against the bytes
+    left in the file first, so a header that promises more allocates nothing."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = fh.read(size) if size <= left else b""
+    if len(data) != size:
+        raise FormatError(f"{path}: truncated WAV file: the {what} chunk claims {size} bytes, {left} are left")
     return data
 
 
@@ -111,10 +118,10 @@ def load_wav(path) -> AudioBuffer:
             if chunk_id == b"fmt ":
                 if size < 16:
                     raise FormatError(f"{path}: fmt chunk too small ({size} bytes)")
-                body = _read_exact(fh, size, "fmt chunk")
+                body = _read_chunk(fh, path, size, "fmt")
                 fmt = struct.unpack("<HHIIHH", body[:16])
             elif chunk_id == b"data":
-                data = _read_exact(fh, size, "data chunk")
+                data = _read_chunk(fh, path, size, "data")
             else:
                 fh.seek(size, 1)
             if size % 2:  # chunks are word-aligned
@@ -204,11 +211,15 @@ def _lowpass(up: int, down: int) -> tuple[np.ndarray, int]:
     half_len = 10 * max_rate
     cutoff = 1.0 / max_rate
     # both factors are symmetric bit for bit, so compute the first half
-    # (np.kaiser's expression with n - alpha = m) and mirror it
-    m = np.arange(-half_len, 1.0)
-    half = cutoff * np.sinc(cutoff * m)
-    half *= np.i0(KAISER_BETA * np.sqrt(1 - (m / half_len) ** 2.0)) / np.i0(KAISER_BETA)
-    h = np.concatenate((half, half[-2::-1]))
+    # (np.kaiser's expression with n - alpha = m) in place, FILTER_PIECE
+    # taps at a time, and mirror it
+    h = np.empty(2 * half_len + 1)
+    for lo in range(0, half_len + 1, FILTER_PIECE):
+        m = np.arange(float(lo - half_len), float(min(lo + FILTER_PIECE - half_len, 1)))
+        piece = h[lo : lo + len(m)]
+        np.multiply(cutoff, np.sinc(cutoff * m), out=piece)
+        piece *= np.i0(KAISER_BETA * np.sqrt(1 - (m / half_len) ** 2.0)) / np.i0(KAISER_BETA)
+    h[half_len + 1 :] = h[half_len - 1 :: -1]
     h /= h.sum()
     h *= up
     return h, half_len

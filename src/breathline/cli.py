@@ -49,6 +49,7 @@ from .evaluation import (
     test2_leave_one_podcast,
     test3_leave_one_speaker,
 )
+from .features import usable_cpus
 from .manifest import load_manifest, save_manifest
 from .metrics import save_report, save_scores_csv
 from .nn import BreathDetectorModel, ModelConfig, TrainConfig, load_model, save_model, train
@@ -97,11 +98,17 @@ def _write_meta(out_dir: str, seed: int, config_obj) -> None:
     _write_json(os.path.join(out_dir, "meta.json"), meta)
 
 
-def _write_run_log(out_dir: str, argv) -> None:
-    # the only artifact allowed to carry wall-clock timestamps
+def _write_run_log(out_dir: str, argv, wall_s: float) -> None:
+    # the only artifact allowed to carry wall-clock timestamps and costs
+    try:
+        with open("/proc/self/status") as f:
+            peak = "".join(line for line in f if line.startswith("VmHWM:"))
+    except OSError:  # no procfs: the line is left out
+        peak = ""
     with open(os.path.join(out_dir, "run.log"), "w") as f:
         f.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S%z')} breathline {__version__}\n")
         f.write("args: " + " ".join(argv) + "\n")
+        f.write(f"wall_s: {wall_s:.3f}\n{peak}usable_cpus: {usable_cpus()}\n")
 
 
 def _add_flags(parser: argparse.ArgumentParser, *settings: str) -> None:
@@ -225,11 +232,13 @@ def cmd_train_breath(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
     out = _ensure_out(args)
     settings = _settings(args)
     model = load_model(args.model)
     detection = _detection_config(settings, model)
-    rows, errors = detect_manifest(model, args.manifest, detection, args.workers)
+    rows, errors = detect_manifest(model, args.manifest, detection)
     for file_id, message in errors.items():
         log.warning("skipping %s: %s", file_id, message)
     intervals_dir = os.path.join(out, "intervals")
@@ -370,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, *_DETECT_SETTINGS)
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True, help="trained detector model file")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="ignored (must be >= 1): detection uses every usable CPU")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("evaluate", help="run generalizability tests or the pipeline evaluation")
@@ -388,9 +397,10 @@ def main(argv=None) -> int:
     _setup_logging()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
         code = args.func(args)
-        _write_run_log(args.out, argv)
+        _write_run_log(args.out, argv, time.perf_counter() - start)
         return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,13 +13,15 @@ classifier over an outlet-disjoint train/test split.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
 import json
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Optional
@@ -40,12 +42,12 @@ from .classifiers import (
     tree_train,
 )
 from .errors import BreathlineError, ConfigError, InputError, ValidationError
-from .features import FeatureConfig, extract_features, usable_cpus
+from .features import FeatureConfig, extract_features, run_on_threads, usable_cpus
 from .manifest import ManifestEntry, load_manifest
 from .metrics import EvalReport, ScoredPredictions, auprc, eer, point_metrics
 from .nn import BreathDetectorModel, ModelConfig, TrainConfig
 from .nn.train import fit_and_predict
-from .postprocess import DetectionConfig, detect_breaths
+from .postprocess import DetectionConfig, DetectionJob
 
 CLASSIFIER_KINDS = ("threshold", "svc", "tree")
 
@@ -329,35 +331,77 @@ DetectionRow = tuple[ManifestEntry, BreathIntervalSet, BreathStats]
 
 
 def detect_manifest(
-    model: BreathDetectorModel, manifest_path, detection_config: DetectionConfig, workers: int = 1
+    model: BreathDetectorModel, manifest_path, detection_config: DetectionConfig
 ) -> tuple[list[DetectionRow], dict[str, str]]:
     """Breath intervals and statistics for every file of a manifest.
 
-    Sources are resolved relative to the manifest's directory and run on
-    `workers` threads. Every file is read: one that fails with a
-    BreathlineError or OSError is recorded, not raised. Returns the
-    `(entry, intervals, stats)` rows and the failed ids' messages, both
-    sorted by id."""
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    entries = load_manifest(manifest_path)
+    Sources are resolved relative to the manifest's directory. A pool of
+    `usable_cpus()` threads, the caller among them (with one CPU, the
+    caller alone), takes tasks in manifest order: load a file, or run one
+    unit of a loaded file's `DetectionJob`. Units go first, so a file is
+    loaded only when no unit waits, and the thread that ends a file's last
+    unit finishes the file. The units do not depend on the thread count,
+    so neither do the results. A file that fails with a BreathlineError or
+    OSError is recorded, not raised. Returns the `(entry, intervals,
+    stats)` rows and the failed ids' messages, both sorted by id."""
+    entries = collections.deque(load_manifest(manifest_path))
     base = os.path.dirname(os.fspath(manifest_path))
+    rows, errors = {}, {}
+    units = collections.deque()  # (entry, job, unit index), waiting to run
+    remaining = {}  # entry id -> tasks of its file not yet done
+    loading, stopped = 0, False
+    ready = threading.Condition()
 
-    def process(entry: ManifestEntry) -> DetectionRow:
-        audio = _canonical_audio(os.path.join(base, entry.source))
-        intervals = detect_breaths(model, audio, detection_config)
-        return entry, intervals, compute_stats(intervals, audio.duration_ms)
+    def take():
+        """The next task; waits while only a load in progress can add one."""
+        nonlocal loading
+        with ready:
+            while not stopped and (units or entries or loading):
+                if units:
+                    return units.popleft()
+                if entries:
+                    loading += 1
+                    return entries.popleft(), None, None
+                ready.wait()
+            return None
 
-    rows, errors = [], {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(process, entry): entry for entry in entries}
-        for future, entry in futures.items():
+    def run(entry: ManifestEntry, job: Optional[DetectionJob], index: Optional[int]) -> None:
+        nonlocal loading
+        if job is None:
             try:
-                rows.append(future.result())
-            except (BreathlineError, OSError) as exc:
-                errors[entry.id] = str(exc)
-    rows.sort(key=lambda row: row[0].id)
-    return rows, dict(sorted(errors.items()))
+                job = DetectionJob(model, _canonical_audio(os.path.join(base, entry.source)), detection_config)
+            finally:
+                with ready:  # the load ends and its units appear in one step
+                    loading -= 1
+                    if job is not None:
+                        remaining[entry.id] = job.num_units + 1  # its units and this load
+                        units.extend((entry, job, i) for i in range(job.num_units))
+                    ready.notify_all()
+        else:
+            job.run_unit(index)
+        with ready:
+            remaining[entry.id] -= 1
+            if remaining[entry.id]:
+                return
+        intervals = job.intervals()
+        rows[entry.id] = entry, intervals, compute_stats(intervals, job.audio.duration_ms)
+
+    def work() -> None:
+        nonlocal stopped
+        try:
+            while (task := take()) is not None:
+                try:
+                    run(*task)
+                except (BreathlineError, OSError) as exc:
+                    errors[task[0].id] = str(exc)
+        except BaseException:
+            with ready:  # the other threads stop after their current task
+                stopped = True
+                ready.notify_all()
+            raise
+
+    run_on_threads([work] * usable_cpus())
+    return [rows[i] for i in sorted(rows)], dict(sorted(errors.items()))
 
 
 @dataclass

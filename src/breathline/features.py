@@ -3,39 +3,27 @@
 Frames are taken every `hop_ms` over the whole signal; frame t covers
 samples [t*hop, t*hop + window) and the tail is zero-padded, so the
 frame count depends only on duration and hop (`floor(n / hop)`). All
-math runs in float64; the stored matrix is float32. Frames go through
-the spectrum in blocks of `BLOCK_FRAMES`, so the working set stays the
-same whatever the recording length.
+math runs in float64; the stored rows are float32.
 
-`extract_features` splits a recording's blocks into contiguous shares,
-one per usable CPU (`usable_cpus`) and never more shares than blocks.
-The calling thread builds one scratch (`_MelScratch`) per share, which
-also fills the window and filterbank caches, then starts one helper
-thread per share after the first, works through share 0 itself and
-joins the helpers. Each share writes only its own rows of the output,
-and block boundaries and the per-block arithmetic are the same at any
-share count, so the features are byte-identical whatever the CPU count.
-With one usable CPU (for example under `taskset -c 0`) share 0 is the
-whole recording and no thread is started.
+`fill_feature_rows` computes any span of frames in blocks of
+`BLOCK_FRAMES`, calling `mel_spectrogram_db`, `zcr` and `rmse_db` by
+name, with one `_MelScratch`: about 1.8 MiB at the defaults, plus the
+1 MiB complex spectrum the FFT returns per block. Detection runs it on
+one `predict_file` batch of frames at a time (`postprocess.DetectionJob`).
+`extract_features`, for training and the frame experiments, fills a
+whole-file matrix in contiguous shares of blocks, one per usable CPU: the
+caller builds every share's scratch (so the cached window and filterbank
+exist before a helper starts), runs share 0 and starts one helper thread
+per other share. With one usable CPU no thread is started.
 
-The mel kernel (`_MelScratch`) works in buffers with min(`BLOCK_FRAMES`,
-frames) rows, at least 2, which a share reuses for every block: about
-1.8 MiB at the defaults (256 rows of 512 zero-padded window columns, 257
-power bins and 128 mel bands), plus the 1 MiB complex spectrum the FFT
-returns per block. The windowed frames are written into the first
-`window` columns of the padded buffer, whose pad columns are zeroed once,
-so the FFT runs on it without making a padded copy. The filterbank is
-one matmul per group of `MELS_PER_BAND` consecutive filters over only
-the bins that group touches (at the defaults 504 of the 32,896 dense
-weights are nonzero). OpenBLAS adds each output's terms over the bins in
-order either way, so from 2 rows up this equals the dense
-`power @ bank.T` of a large block bit for bit; a single frame is still
-multiplied as 2 rows, because OpenBLAS's one-row kernel (gemv) rounds
-differently. (The dense product itself takes OpenBLAS's small-matrix
-kernels below 10 rows, which differ from its blocked ones by up to
-4e-15 dB.) `extract_features` hands each share's buffers to
-`mel_spectrogram_db`, which otherwise makes buffers of its own; no
-buffer outlives a call, so threads can extract at once.
+A frame's features are the same bytes in any block, share or unit. The
+windowed frames go into the first `window` columns of a buffer whose pad
+columns are zeroed once, so the FFT makes no padded copy. The filterbank
+is one matmul per group of `MELS_PER_BAND` filters over only the bins the
+group touches; OpenBLAS adds each output's terms over the bins in order
+either way, so from 2 rows up this equals the dense `power @ bank.T` of a
+large block bit for bit. A single frame is multiplied as 2 rows, because
+OpenBLAS's one-row kernel (gemv) rounds differently.
 """
 from __future__ import annotations
 
@@ -187,6 +175,7 @@ def _next_pow2(n: int) -> int:
 
 
 # the cached arrays are shared by every caller, so they are read-only
+_CACHE_BUILD = threading.Lock()
 @functools.lru_cache(maxsize=16)
 def _hann(window: int) -> np.ndarray:
     """Periodic Hann window, built once per length."""
@@ -231,8 +220,9 @@ class _MelScratch:
         rows = max(rows, 2)  # see mel_db
         self.window = window
         fft_size = _next_pow2(window)
-        self.hann = _hann(window)
-        self.bands = _filter_bands(n_mels, fft_size, sample_rate)
+        with _CACHE_BUILD:  # a racing thread waits for the cached arrays instead of building its own
+            self.hann = _hann(window)
+            self.bands = _filter_bands(n_mels, fft_size, sample_rate)
         self.padded = np.zeros((rows, fft_size))
         self.power = np.empty((rows, fft_size // 2 + 1))
         self.mel = np.empty((rows, n_mels))
@@ -273,44 +263,65 @@ def mel_spectrogram_db(
     return scratch.mel_db(frames)
 
 
+def fill_feature_rows(out: np.ndarray, buffer: AudioBuffer, config: FeatureConfig, start: int, scratch=None) -> None:
+    """Write the features of frames [start, start + len(out)) into `out`,
+    in blocks of `BLOCK_FRAMES` from `start`, reusing `scratch` (a
+    `_MelScratch` for the same window, n_mels and rate) or one of its own."""
+    window = config.window_samples(buffer.sample_rate)
+    hop = config.hop_samples(buffer.sample_rate)
+    stop = start + len(out)
+    if scratch is None:
+        scratch = _MelScratch(min(BLOCK_FRAMES, len(out)), window, config.n_mels, buffer.sample_rate)
+    for lo in range(start, stop, BLOCK_FRAMES):
+        hi = min(lo + BLOCK_FRAMES, stop)
+        block = _frames(buffer.samples, window, hop, lo, hi)
+        rows = out[lo - start : hi - start]
+        rows[:, : config.n_mels] = mel_spectrogram_db(block, config.n_mels, buffer.sample_rate, scratch=scratch)
+        rows[:, config.n_mels] = zcr(block)
+        rows[:, config.n_mels + 1] = rmse_db(block)
+
+
 def extract_features(buffer: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     window = config.window_samples(buffer.sample_rate)
     hop = config.hop_samples(buffer.sample_rate)
     num_frames = buffer.num_samples // hop
     data = np.empty((num_frames, config.dim), dtype=np.float32)
-    starts = range(0, num_frames, BLOCK_FRAMES)
-    shares = max(1, min(usable_cpus(), len(starts)))
+    blocks = -(-num_frames // BLOCK_FRAMES)
+    shares = max(1, min(usable_cpus(), blocks))
     # built here, so the cached window and filterbank exist before any helper starts
     scratches = [
         _MelScratch(min(BLOCK_FRAMES, num_frames), window, config.n_mels, buffer.sample_rate) for _ in range(shares)
     ]
 
     def run_share(share: int) -> None:
-        scratch = scratches[share]
-        for start in starts[len(starts) * share // shares : len(starts) * (share + 1) // shares]:
-            block = _frames(buffer.samples, window, hop, start, min(start + BLOCK_FRAMES, num_frames))
-            rows = data[start : start + BLOCK_FRAMES]
-            rows[:, : config.n_mels] = mel_spectrogram_db(block, config.n_mels, buffer.sample_rate, scratch=scratch)
-            rows[:, config.n_mels] = zcr(block)
-            rows[:, config.n_mels + 1] = rmse_db(block)
+        start = blocks * share // shares * BLOCK_FRAMES
+        stop = min(blocks * (share + 1) // shares * BLOCK_FRAMES, num_frames)
+        fill_feature_rows(data[start:stop], buffer, config, start, scratches[share])
 
+    run_on_threads([functools.partial(run_share, share) for share in range(shares)])
+    return FeatureMatrix(data, config)
+
+
+def run_on_threads(tasks: list) -> None:
+    """Run tasks[0] on the calling thread and every other task on a helper
+    thread of its own; once every started helper is joined, raise the first
+    failure."""
     failures = []
 
-    def run_helper(share: int) -> None:
+    def run_helper(task) -> None:
         try:
-            run_share(share)
+            task()
         except BaseException as exc:
             failures.append(exc)
 
-    helpers = [threading.Thread(target=run_helper, args=(share,)) for share in range(1, shares)]
+    helpers = [threading.Thread(target=run_helper, args=(task,)) for task in tasks[1:]]
     try:
         for thread in helpers:
             thread.start()
-        run_share(0)
+        tasks[0]()
     finally:
         for thread in helpers:
             if thread.ident is not None:  # started
                 thread.join()
     if failures:
         raise failures[0]
-    return FeatureMatrix(data, config)

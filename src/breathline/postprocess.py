@@ -16,7 +16,8 @@ import numpy as np
 from .annotations import BreathIntervalSet
 from .audio_io import AudioBuffer
 from .errors import ConfigError
-from .features import extract_features
+from .features import fill_feature_rows
+from .nn.model import BATCH_CHUNKS
 
 MIN_BREATH_MS = 150.0
 
@@ -56,19 +57,44 @@ def slices_to_intervals(probabilities: np.ndarray, config: DetectionConfig = Det
     return BreathIntervalSet(intervals, total_duration_ms=total)
 
 
-def detect_breaths(model, audio: AudioBuffer, detection_config: DetectionConfig = DetectionConfig()) -> BreathIntervalSet:
-    """Features -> framewise model -> intervals, for one audio buffer.
+class DetectionJob:
+    """One buffer's detection in units, which may run in any order and on
+    any thread; `intervals` once all have run. Unit i is one `predict_file`
+    batch, frames [i*U, (i+1)*U) with U = BATCH_CHUNKS x chunk_frames: a
+    whole number of chunks, so its chunks, batches and steps are the ones
+    `predict_file` makes of the whole file. `detection_config.step_ms`
+    must be the model's step."""
 
-    The features are the ones the model was trained on, and
-    `detection_config.step_ms` must be the model's step. The final model
-    step can extend past the end of the audio (the last feature chunk is
-    zero-padded), so intervals are clipped to the buffer duration.
-    """
-    if detection_config.step_ms != model.config.step_ms:
-        raise ConfigError(f"step_ms={detection_config.step_ms} is not the detector's step, {model.config.step_ms} ms")
-    features = extract_features(audio, model.config.features)
-    probs = model.predict_file(features.data)
-    raw = slices_to_intervals(probs, detection_config)
-    duration = audio.duration_ms
-    clipped = [(s, min(e, duration)) for s, e in raw if s < duration]
-    return BreathIntervalSet(clipped, total_duration_ms=duration)
+    def __init__(self, model, audio: AudioBuffer, detection_config: DetectionConfig = DetectionConfig()):
+        if detection_config.step_ms != model.config.step_ms:
+            raise ConfigError(f"step_ms={detection_config.step_ms} is not the detector's step, {model.config.step_ms} ms")
+        self.model, self.audio, self.detection_config = model, audio, detection_config
+        model.config.features.window_samples(audio.sample_rate)  # checked, as extract_features does
+        self.num_frames = audio.num_samples // model.config.features.hop_samples(audio.sample_rate)
+        self.unit_frames = BATCH_CHUNKS * model.config.chunk_frames
+        self.num_units = -(-self.num_frames // self.unit_frames)
+        self.probabilities = np.empty(-(-self.num_frames // model.config.frames_per_step))
+
+    def run_unit(self, index: int) -> None:
+        start = index * self.unit_frames
+        rows = np.empty((min(self.unit_frames, self.num_frames - start), self.model.config.input_dim), np.float32)
+        fill_feature_rows(rows, self.audio, self.model.config.features, start)
+        steps = self.model.predict_file(rows)
+        first = start // self.model.config.frames_per_step
+        self.probabilities[first : first + len(steps)] = steps
+
+    def intervals(self) -> BreathIntervalSet:
+        """The intervals of the probabilities, clipped to the buffer: the
+        last step can run past its end (the last chunk is zero-padded)."""
+        raw = slices_to_intervals(self.probabilities, self.detection_config)
+        duration = self.audio.duration_ms
+        return BreathIntervalSet([(s, min(e, duration)) for s, e in raw if s < duration], total_duration_ms=duration)
+
+
+def detect_breaths(model, audio: AudioBuffer, detection_config: DetectionConfig = DetectionConfig()) -> BreathIntervalSet:
+    """Features -> framewise model -> intervals for one buffer, one
+    `DetectionJob` unit after another."""
+    job = DetectionJob(model, audio, detection_config)
+    for index in range(job.num_units):
+        job.run_unit(index)
+    return job.intervals()

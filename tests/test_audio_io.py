@@ -122,6 +122,25 @@ def test_bad_magic_and_truncation(tmp_path):
         load_wav(p)
 
 
+@pytest.mark.parametrize("claim", [256 * 2**20, 0xFFFFFFF0], ids=["256 MiB", "4 GiB"])
+def test_a_chunk_size_past_the_end_of_the_file_allocates_nothing(tmp_path, claim):
+    """A 64-byte WAV whose data chunk claims far more than the file holds
+    fails as a FormatError naming the chunk, before anything the claimed
+    size is allocated."""
+    good = _pcm16_wav(np.zeros(10, dtype="<i2").tobytes(), 1, 16000)
+    p = tmp_path / "x.wav"
+    p.write_bytes(good[:40] + struct.pack("<I", claim) + good[44:])
+    assert p.stat().st_size == 64
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"x.wav: truncated WAV file: the data chunk claims {claim} bytes, 20 are left"):
+            load_wav(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_unsupported_codec(tmp_path):
     fmt = struct.pack("<HHIIHH", 2, 1, 16000, 32000, 2, 16)  # ADPCM code 2
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", 4) + b"\x00" * 4
@@ -193,6 +212,23 @@ def test_resample_memory_is_output_plus_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= out.samples.nbytes + 4 * 2**20
+
+
+def test_resample_filter_memory_is_the_filter_plus_small_pieces():
+    """1 s at 383999 Hz, coprime with 16 kHz, takes a filter of 7,679,981
+    taps (58.6 MiB). Its taps are computed in pieces in place, so the
+    peak stays within a quarter of the filter's own bytes above it, where
+    whole-length temporaries took 366 MiB."""
+    rate = 383999
+    buf = AudioBuffer(np.random.default_rng(5).uniform(-1, 1, rate), rate)
+    filter_bytes = 8 * (20 * rate + 1)
+    tracemalloc.start()
+    try:
+        resample(buf, 16000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * filter_bytes
 
 
 def test_load_wav_memory_is_payload_plus_one_array(tmp_path):

@@ -60,6 +60,23 @@ def test_run_log_records_the_parsed_arguments(tmp_path, monkeypatch):
     assert main(argv) == 0
     lines = (tmp_path / "run.log").read_text().splitlines()
     assert lines[1] == "args: " + " ".join(argv)
+    assert lines[2].startswith("wall_s: ") and float(lines[2].split()[1]) >= 0.0
+    assert lines[3].startswith("VmHWM:") and lines[3].endswith(" kB") and int(lines[3].split()[1]) > 0
+    assert lines[4] == f"usable_cpus: {len(os.sched_getaffinity(0))}" and len(lines) == 5
+
+
+def test_run_log_leaves_out_a_peak_it_cannot_read(tmp_path, monkeypatch):
+    real_open = open
+
+    def no_procfs(path, *args, **kwargs):
+        if str(path) == "/proc/self/status":
+            raise FileNotFoundError(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", no_procfs)
+    assert main(["synth", "--real", "1", "--fake", "0", "--duration-ms", "2000", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "run.log").read_text().splitlines()
+    assert lines[2].startswith("wall_s: ") and lines[3].startswith("usable_cpus: ") and len(lines) == 4
 
 
 def test_synth_infeasible_config_exits_2(tmp_path, capsys):

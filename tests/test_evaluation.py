@@ -5,13 +5,18 @@ import json
 import multiprocessing
 import os
 import shutil
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from breathline.errors import ConfigError, InputError, TrainingError, ValidationError
-from breathline import evaluation
+from breathline.annotations import BreathIntervalSet
+from breathline.audio_io import AudioBuffer, write_wav
+from breathline.breath_stats import compute_stats
+from breathline.errors import ConfigError, FormatError, InputError, TrainingError, ValidationError
+from breathline import evaluation, features, postprocess
 from breathline.evaluation import (
     ExperimentResult,
     SplitPlan,
@@ -26,9 +31,11 @@ from breathline.evaluation import (
 from breathline.evaluation import test1_contiguous_kfold as contiguous_kfold
 from breathline.evaluation import test2_leave_one_podcast as leave_one_podcast
 from breathline.evaluation import test3_leave_one_speaker as leave_one_speaker
-from breathline.manifest import load_manifest
+from breathline.features import extract_features
+from breathline.manifest import ManifestEntry, load_manifest, save_manifest
 from breathline.nn import BreathDetectorModel, ModelConfig, TrainConfig, train
-from breathline.postprocess import DetectionConfig
+from breathline.postprocess import DetectionConfig, DetectionJob, slices_to_intervals
+from breathline.synth import SynthesisConfig, synthesize_one
 
 FAST_MODEL = ModelConfig(lstm_units=8, seed=0)
 FAST_TRAIN = TrainConfig(epochs=2, seed=0)
@@ -311,19 +318,134 @@ def test_pipeline_eval_needs_stats_for_every_split_id(news_dir, detector):
         run_pipeline_eval(rows, split, "threshold", model)
 
 
-def test_detect_manifest_collects_every_failure(tmp_path, news_dir, detector):
+def test_detect_manifest_collects_every_failure(tmp_path, news_dir, detector, monkeypatch):
     model, _ = detector
     shutil.copytree(news_dir, tmp_path / "news")
     (tmp_path / "news" / "fake-0003.wav").write_bytes(b"RIFFnot-audio")
     (tmp_path / "news" / "real-0001.wav").unlink()
     manifest = tmp_path / "news" / "manifest.csv"
-    rows, errors = detect_manifest(model, manifest, DetectionConfig(), workers=2)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    rows, errors = detect_manifest(model, manifest, DetectionConfig())
     assert sorted(errors) == ["fake-0003", "real-0001"]
     ids = [entry.id for entry, _, _ in rows]
     assert ids == sorted(ids) and len(ids) == 14
-    assert detect_manifest(model, manifest, DetectionConfig(), workers=1) == (rows, errors)
-    with pytest.raises(ConfigError):
-        detect_manifest(model, manifest, DetectionConfig(), workers=0)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 1)
+    assert detect_manifest(model, manifest, DetectionConfig()) == (rows, errors)
+
+
+@pytest.fixture(scope="module")
+def mixed_manifest(tmp_path_factory):
+    """A 70 s 16 kHz file (one full detection unit of 64 s and a partial
+    one), a 44.1 kHz file, a file shorter than one window and a broken
+    WAV, in that manifest order."""
+    out = tmp_path_factory.mktemp("mixed")
+    long, _ = synthesize_one(SynthesisConfig(duration_ms=70000.0, breaths_per_minute=20.0, rng_seed=5))
+    cd, _ = synthesize_one(SynthesisConfig(duration_ms=9000.0, breaths_per_minute=20.0, rng_seed=6, sample_rate=44100))
+    write_wav(out / "long.wav", long)
+    write_wav(out / "cd.wav", cd, encoding="pcm16")
+    write_wav(out / "tiny.wav", AudioBuffer(long.samples[:100], 16000))
+    (out / "broken.wav").write_bytes(b"RIFF\x10\x00\x00\x00WAVEfmt \x10\x00\x00\x00")
+    entries = [ManifestEntry(name, f"{name}.wav", "real", "show") for name in ("long", "cd", "tiny", "broken")]
+    save_manifest(out / "manifest.csv", entries)
+    return out / "manifest.csv"
+
+
+def _reference_detection(model, manifest, config):
+    """Per file: the whole feature matrix, `predict_file` over it, and its
+    intervals clipped to the audio, as detection was before it ran in units."""
+    rows, probabilities = {}, {}
+    for entry in load_manifest(manifest):
+        try:
+            audio = evaluation._canonical_audio(manifest.parent / entry.source)
+        except FormatError:
+            continue
+        probs = model.predict_file(extract_features(audio, model.config.features).data)
+        raw = slices_to_intervals(probs, config)
+        clipped = [(s, min(e, audio.duration_ms)) for s, e in raw if s < audio.duration_ms]
+        intervals = BreathIntervalSet(clipped, audio.duration_ms)
+        rows[entry.id] = intervals, compute_stats(intervals, audio.duration_ms)
+        probabilities[entry.id] = probs.tobytes()
+    return rows, probabilities
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])  # 3 threads on a 2-CPU host: more threads than cores
+def test_detection_is_the_same_bytes_at_any_thread_count(cpus, mixed_manifest, detector, monkeypatch):
+    model, _ = detector
+    config = DetectionConfig()
+    want_rows, want_probabilities = _reference_detection(model, mixed_manifest, config)
+    assert len(want_probabilities["long"]) == 8 * 1400 and len(want_probabilities["tiny"]) == 8
+    got_probabilities = []
+    real_slices = postprocess.slices_to_intervals
+
+    def recorded(probs, *args):
+        got_probabilities.append(np.asarray(probs).tobytes())
+        return real_slices(probs, *args)
+
+    monkeypatch.setattr(postprocess, "slices_to_intervals", recorded)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so units interleave finely
+    try:
+        rows, errors = detect_manifest(model, mixed_manifest, config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert list(errors) == ["broken"]
+    assert {entry.id: (intervals, stats) for entry, intervals, stats in rows} == want_rows
+    assert sorted(got_probabilities) == sorted(want_probabilities.values())
+
+
+def test_detection_starts_one_thread_per_usable_cpu_after_the_first(mixed_manifest, detector, monkeypatch):
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(evaluation.threading, "Thread", Counted)
+    before = threading.active_count()
+    for cpus, helpers in [(1, 0), (3, 2)]:
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+        started.clear()
+        detect_manifest(detector[0], mixed_manifest, DetectionConfig())
+        assert len(started) == helpers
+        assert threading.active_count() == before
+
+
+def test_units_racing_on_cold_caches_build_the_filterbank_once(mixed_manifest, detector, monkeypatch):
+    built, real = [], features.mel_filterbank
+
+    def counted(*args):
+        built.append(args)
+        time.sleep(0.05)  # a slow build, as under a tracer: a racing unit would build its own
+        return real(*args)
+
+    monkeypatch.setattr(features, "mel_filterbank", counted)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 3)
+    caches = (features._hann, features._cached_filterbank, features._filter_bands)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        detect_manifest(detector[0], mixed_manifest, DetectionConfig())
+    finally:
+        for cache in caches:
+            cache.cache_clear()  # drop what was built under the counting name
+    assert built == [(128, 512, 16000)]
+
+
+def test_a_failing_unit_raises_and_leaves_no_thread(mixed_manifest, detector, monkeypatch):
+    """An error that is no BreathlineError or OSError stops the pool and
+    comes out of detect_manifest once every helper has been joined."""
+
+    def fail(self, index):
+        raise RuntimeError("unit failed")
+
+    monkeypatch.setattr(DetectionJob, "run_unit", fail)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="unit failed"):
+        detect_manifest(detector[0], mixed_manifest, DetectionConfig())
+    assert threading.active_count() == before
 
 
 def test_parse_experiment_config(tmp_path):
