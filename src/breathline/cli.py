@@ -149,10 +149,6 @@ def _config(cls, settings: dict, **fixed):
     return cls(**_present(renamed, *(f.name for f in dataclasses.fields(cls))), **fixed)
 
 
-def _detector_configs(settings: dict) -> tuple[TrainConfig, ModelConfig]:
-    return _config(TrainConfig, settings), _config(ModelConfig, settings)
-
-
 def _detection_config(settings: dict, detector: BreathDetectorModel) -> DetectionConfig:
     """Detection at the detector's own step. A feature setting must be the
     one the detector was trained with: any other value is a ConfigError."""
@@ -211,18 +207,25 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train_breath(args) -> int:
-    out = _ensure_out(args)
-    train_cfg, model_config = _detector_configs(_settings(args))
-    items = load_frame_corpus(args.manifest, model_config.features)
+def _train_detector(manifest: str, settings: dict):
+    """A fresh detector trained on an annotated manifest, with its training
+    config, the mean loss per epoch and the number of files."""
+    train_cfg, model_config = _config(TrainConfig, settings), _config(ModelConfig, settings)
+    items = load_frame_corpus(manifest, model_config.features)
     model = BreathDetectorModel(model_config)
     history = train(model, [(item.features, item.frame_labels) for item in items], train_cfg)
+    return model, train_cfg, history, len(items)
+
+
+def cmd_train_breath(args) -> int:
+    out = _ensure_out(args)
+    model, train_cfg, history, num_files = _train_detector(args.manifest, _settings(args))
     for epoch, loss in enumerate(history, start=1):
         log.info("epoch %d: loss %.6f", epoch, loss)
     save_model(os.path.join(out, "model.bin"), model)
     report = {
         "loss_history": history,
-        "num_files": len(items),
+        "num_files": num_files,
         "model_config": dataclasses.asdict(model.config),
         "train_config": dataclasses.asdict(train_cfg),
     }
@@ -272,7 +275,7 @@ def _evaluate_frames(args, settings: dict, out: str) -> int:
     for flag, present in pipeline_only.items():
         if present:
             raise ConfigError(f"{flag} applies only to the pipeline experiment, not {experiment}")
-    train_cfg, model_config = _detector_configs(settings)
+    train_cfg, model_config = _config(TrainConfig, settings), _config(ModelConfig, settings)
     items = load_frame_corpus(args.manifest, model_config.features)
     names = ("iterations", "seed") if experiment == "test1" else ("seed",)
     result = _FRAME_TESTS[experiment](items, model_config, train_cfg, **_present(settings, *names))
@@ -302,10 +305,7 @@ def _evaluate_pipeline(args, settings: dict, out: str) -> int:
     if args.model is not None:
         detector = load_model(args.model)
     else:
-        train_cfg, model_config = _detector_configs(settings)
-        detector = BreathDetectorModel(model_config)
-        podcast_items = load_frame_corpus(args.podcast_manifest, model_config.features)
-        train(detector, [(i.features, i.frame_labels) for i in podcast_items], train_cfg)
+        detector = _train_detector(args.podcast_manifest, settings)[0]
         save_model(os.path.join(out, "detector.bin"), detector)
     detection = _detection_config(settings, detector)
     # a split with holes cannot be scored: every failed file is named

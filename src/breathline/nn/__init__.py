@@ -1,8 +1,11 @@
 """Minimal neural network stack for the framewise breath detector.
 
 Everything runs on float64 numpy arrays shaped (batch, time, channels).
-Layers cache activations only during training forwards, so inference is
-side-effect free.
+Layers cache activations only during training forwards; an inference
+forward caches nothing on the layer. The BiLSTM runs both
+directions in one time loop on stacked weights, MaxPool1D works on
+strided views, and BatchNorm1D makes x - mean once: each gives the same
+bits as the step-by-step versions in tests/oracles.py.
 """
 
 from .layers import BatchNorm1D, Conv1D, Dropout, Layer, MaxPool1D, ReLU, Sigmoid, TimeDense

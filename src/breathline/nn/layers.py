@@ -20,6 +20,9 @@ BN_MOMENTUM = 0.9
 
 
 class Layer:
+    # the names of the trained arrays; `grad_<name>` holds each gradient
+    PARAMS: tuple[str, ...] = ()
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
@@ -28,11 +31,11 @@ class Layer:
 
     @property
     def params(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, name) for name in self.PARAMS}
 
     @property
     def grads(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, "grad_" + name) for name in self.PARAMS}
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -43,6 +46,8 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 class Conv1D(Layer):
     """1-D convolution over time, stride 1, zero 'same' padding so the
     output keeps the input length. Weights are (kernel, in, out)."""
+
+    PARAMS = ("w", "b")
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, rng: np.random.Generator):
         if kernel_size < 1 or in_channels < 1 or out_channels < 1:
@@ -56,14 +61,6 @@ class Conv1D(Layer):
         self.grad_w = np.zeros_like(self.w)
         self.grad_b = np.zeros_like(self.b)
         self._cache = None
-
-    @property
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    @property
-    def grads(self):
-        return {"w": self.grad_w, "b": self.grad_b}
 
     def _taps(self, time: int):
         """(k, out, src) for each tap that reaches the output: output steps
@@ -127,6 +124,8 @@ class BatchNorm1D(Layer):
     Training uses batch statistics and updates the running estimates;
     inference uses the running estimates."""
 
+    PARAMS = ("gamma", "beta")
+
     def __init__(self, channels: int):
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
@@ -136,37 +135,42 @@ class BatchNorm1D(Layer):
         self.grad_beta = np.zeros_like(self.beta)
         self._cache = None
 
-    @property
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    @property
-    def grads(self):
-        return {"gamma": self.grad_gamma, "beta": self.grad_beta}
-
     def forward(self, x, training=False):
         if training:
+            # the passes of `x.mean` and `x.var`, with x - mean made once
             mean = x.mean(axis=(0, 1))
-            var = x.var(axis=(0, 1))
+            xhat = x - mean
+            squares = np.square(xhat)
+            var = squares.sum(axis=(0, 1)) / (x.shape[0] * x.shape[1])
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (x - mean) * inv_std
+            xhat *= inv_std
             self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
             self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
             self._cache = (xhat, inv_std)
+            y = np.multiply(self.gamma, xhat, out=squares)
         else:
-            xhat = (x - self.running_mean) / np.sqrt(self.running_var + BN_EPS)
-        return self.gamma * xhat + self.beta
+            y = x - self.running_mean
+            y /= np.sqrt(self.running_var + BN_EPS)
+            y *= self.gamma
+        y += self.beta
+        return y
 
     def backward(self, grad):
         xhat, inv_std = self._cache
         n = xhat.shape[0] * xhat.shape[1]
-        self.grad_gamma = np.sum(grad * xhat, axis=(0, 1))
-        self.grad_beta = np.sum(grad, axis=(0, 1))
-        # gradient through the batch statistics themselves
-        dxhat = grad * self.gamma
-        return (inv_std / n) * (
-            n * dxhat - dxhat.sum(axis=(0, 1)) - xhat * np.sum(dxhat * xhat, axis=(0, 1))
-        )
+        scratch = grad * xhat
+        self.grad_gamma = scratch.sum(axis=(0, 1))
+        self.grad_beta = grad.sum(axis=(0, 1))
+        # through the batch statistics as well:
+        # (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+        dx = grad * self.gamma
+        dxhat_sum = dx.sum(axis=(0, 1))
+        dxhat_xhat_sum = np.multiply(dx, xhat, out=scratch).sum(axis=(0, 1))
+        dx *= n
+        dx -= dxhat_sum
+        dx -= np.multiply(xhat, dxhat_xhat_sum, out=scratch)
+        dx *= inv_std / n
+        return dx
 
 
 class ReLU(Layer):
@@ -184,7 +188,9 @@ class ReLU(Layer):
 
 class MaxPool1D(Layer):
     """Max pooling over time with ceil-mode output length ceil(T/stride).
-    When windows run past the ends they see -inf padding, split evenly."""
+    When windows run past the ends they see -inf padding, split evenly.
+    A training forward keeps which tap of each window held the maximum
+    (the first of equal ones), and `backward` routes the gradient there."""
 
     def __init__(self, pool_size: int, stride: int):
         if pool_size < 1 or stride < 1:
@@ -196,28 +202,40 @@ class MaxPool1D(Layer):
     def output_length(self, time: int) -> int:
         return -(-time // self.stride)
 
+    def _taps(self, padded: np.ndarray, out_t: int) -> list[np.ndarray]:
+        """Tap k of output step j is padded[:, j * stride + k], for each k."""
+        return [padded[:, k : k + (out_t - 1) * self.stride + 1 : self.stride] for k in range(self.pool_size)]
+
     def forward(self, x, training=False):
-        batch, time, channels = x.shape
+        time = x.shape[1]
         out_t = self.output_length(time)
         total_pad = max((out_t - 1) * self.stride + self.pool_size - time, 0)
         left = total_pad // 2
-        xpad = np.full((batch, time + total_pad, channels), -np.inf)
-        xpad[:, left : left + time] = x
-        windows = np.lib.stride_tricks.sliding_window_view(xpad, self.pool_size, axis=1)
-        windows = windows[:, :: self.stride]  # (batch, out_t, channels, pool)
-        argmax = windows.argmax(axis=3)
+        if total_pad:
+            x = np.pad(x, ((0, 0), (left, total_pad - left), (0, 0)), constant_values=-np.inf)
+        first, *rest = self._taps(x, out_t)
+        y = first.copy()
+        for tap in rest:
+            np.maximum(tap, y, out=y)  # an equal tap leaves the earlier value
         if training:
-            self._cache = (argmax, x.shape, left)
-        return np.take_along_axis(windows, argmax[..., None], axis=3)[..., 0]
+            # the maximum's tap is the number of taps before it below it
+            below = first < y
+            argmax = below.astype(np.min_scalar_type(self.pool_size - 1))
+            for tap in rest[:-1]:
+                below &= tap < y
+                argmax += below
+            self._cache = (argmax, time, left, x.shape[1])
+        return y
 
     def backward(self, grad):
-        argmax, (batch, time, channels), left = self._cache
-        out_t = grad.shape[1]
-        total_pad = max((out_t - 1) * self.stride + self.pool_size - time, 0)
-        gxpad = np.zeros((batch, time + total_pad, channels))
-        b_idx, t_idx, c_idx = np.indices(grad.shape, sparse=True)
-        np.add.at(gxpad, (b_idx, t_idx * self.stride + argmax, c_idx), grad)
-        return gxpad[:, left : left + time]
+        argmax, time, left, padded = self._cache
+        batch, out_t, channels = grad.shape
+        gx = np.zeros((batch, padded, channels))
+        # the last tap first, so overlapping windows add into a step in
+        # window order
+        for k, tap in reversed(list(enumerate(self._taps(gx, out_t)))):
+            tap += np.where(argmax == k, grad, 0.0)
+        return gx[:, left : left + time]
 
 
 class Dropout(Layer):
@@ -249,20 +267,14 @@ class Dropout(Layer):
 class TimeDense(Layer):
     """Dense layer applied independently at every timestep."""
 
+    PARAMS = ("w", "b")
+
     def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
         self.w = glorot_uniform(rng, (in_channels, out_channels), in_channels, out_channels)
         self.b = np.zeros(out_channels)
         self.grad_w = np.zeros_like(self.w)
         self.grad_b = np.zeros_like(self.b)
         self._cache = None
-
-    @property
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    @property
-    def grads(self):
-        return {"w": self.grad_w, "b": self.grad_b}
 
     def forward(self, x, training=False):
         if training:

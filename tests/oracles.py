@@ -3,7 +3,8 @@
 These deliberately avoid the package's code paths: definition-level
 loops, a DFT-matrix spectrogram, exhaustive threshold enumeration for
 ranking metrics, an accelerated projected-gradient QP solver for the
-SVC dual, and exhaustive decision-tree split search.
+SVC dual, exhaustive decision-tree split search, and the detector's
+layers written one plain numpy step at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import expit
 
 
 def naive_zcr(frames: np.ndarray) -> np.ndarray:
@@ -204,3 +206,190 @@ def central_difference(f, array: np.ndarray, flat_index: int, eps: float = 1e-6)
     down = f()
     flat[flat_index] = original
     return (up - down) / (2.0 * eps)
+
+
+# --- layer oracles: the detector's layers one plain numpy step at a time;
+# the package's layers must give the same bits ---
+
+
+class LoopLSTMDirection:
+    """One left-to-right LSTM pass over (batch, time, in), one time step
+    and one gate at a time. Gate layout along the last weight axis is
+    input, forget, cell, output."""
+
+    def __init__(self, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
+        self.wx, self.wh, self.b = wx.copy(), wh.copy(), b.copy()
+        self.units = wh.shape[0]
+        self._cache = None
+
+    def forward(self, x, training=False):
+        batch, time, _ = x.shape
+        units = self.units
+        h = np.zeros((batch, units))
+        c = np.zeros((batch, units))
+        hs = np.empty((time, batch, units))
+        gates = np.empty((time, batch, 4 * units))
+        c_prevs = np.empty((time, batch, units))
+        tanh_cs = np.empty((time, batch, units))
+        for t in range(time):
+            z = x[:, t] @ self.wx + h @ self.wh + self.b
+            i = expit(z[:, :units])
+            f = expit(z[:, units : 2 * units])
+            g = np.tanh(z[:, 2 * units : 3 * units])
+            o = expit(z[:, 3 * units :])
+            c_prevs[t] = c
+            c = f * c + i * g
+            tc = np.tanh(c)
+            h = o * tc
+            gates[t] = np.concatenate([i, f, g, o], axis=1)
+            tanh_cs[t] = tc
+            hs[t] = h
+        if training:
+            self._cache = (x, gates, c_prevs, tanh_cs, hs)
+        return hs.transpose(1, 0, 2)
+
+    def backward(self, grad):
+        x, gates, c_prevs, tanh_cs, hs = self._cache
+        batch, time, _ = x.shape
+        units = self.units
+        self.grad_wx = np.zeros_like(self.wx)
+        self.grad_wh = np.zeros_like(self.wh)
+        self.grad_b = np.zeros_like(self.b)
+        gx = np.empty_like(x)
+        dh_next = np.zeros((batch, units))
+        dc_next = np.zeros((batch, units))
+        for t in reversed(range(time)):
+            i = gates[t, :, :units]
+            f = gates[t, :, units : 2 * units]
+            g = gates[t, :, 2 * units : 3 * units]
+            o = gates[t, :, 3 * units :]
+            dh = grad[:, t] + dh_next
+            dc = dc_next + dh * o * (1.0 - tanh_cs[t] ** 2)
+            dz = np.concatenate(
+                [
+                    dc * g * i * (1.0 - i),
+                    dc * c_prevs[t] * f * (1.0 - f),
+                    dc * i * (1.0 - g**2),
+                    dh * tanh_cs[t] * o * (1.0 - o),
+                ],
+                axis=1,
+            )
+            h_prev = hs[t - 1] if t > 0 else np.zeros((batch, units))
+            self.grad_wx += x[:, t].T @ dz
+            self.grad_wh += h_prev.T @ dz
+            self.grad_b += dz.sum(axis=0)
+            gx[:, t] = dz @ self.wx.T
+            dh_next = dz @ self.wh.T
+            dc_next = dc * f
+        return gx
+
+
+class LoopBiLSTM:
+    """Two `LoopLSTMDirection`s, the second over reversed time, outputs
+    concatenated on the channel axis; made from the weights of `params`,
+    a dict with the package BiLSTM's parameter names."""
+
+    def __init__(self, params: dict):
+        self.fwd = LoopLSTMDirection(params["fwd.wx"], params["fwd.wh"], params["fwd.b"])
+        self.bwd = LoopLSTMDirection(params["bwd.wx"], params["bwd.wh"], params["bwd.b"])
+        self.units = self.fwd.units
+
+    def _named(self, prefix: str) -> dict:
+        return {
+            f"{tag}.{name}": getattr(direction, prefix + name)
+            for tag, direction in (("fwd", self.fwd), ("bwd", self.bwd))
+            for name in ("wx", "wh", "b")
+        }
+
+    @property
+    def params(self):
+        return self._named("")
+
+    @property
+    def grads(self):
+        return self._named("grad_")
+
+    def forward(self, x, training=False):
+        left = self.fwd.forward(x, training)
+        right = self.bwd.forward(x[:, ::-1], training)[:, ::-1]
+        return np.concatenate([left, right], axis=2)
+
+    def backward(self, grad):
+        gleft = self.fwd.backward(grad[:, :, : self.units])
+        gright = self.bwd.backward(grad[:, ::-1, self.units :])[:, ::-1]
+        return gleft + gright
+
+
+class WindowMaxPool:
+    """Ceil-mode max pooling over time by sliding windows on a -inf padded
+    copy (padding split evenly, the extra step on the right); ties go to
+    the first maximum, and the backward pass scatters with `np.add.at`."""
+
+    params = grads = property(lambda self: {})
+
+    def __init__(self, pool_size: int, stride: int):
+        self.pool_size, self.stride = pool_size, stride
+
+    def forward(self, x, training=False):
+        batch, time, channels = x.shape
+        out_t = -(-time // self.stride)
+        total_pad = max((out_t - 1) * self.stride + self.pool_size - time, 0)
+        left = total_pad // 2
+        xpad = np.full((batch, time + total_pad, channels), -np.inf)
+        xpad[:, left : left + time] = x
+        windows = np.lib.stride_tricks.sliding_window_view(xpad, self.pool_size, axis=1)
+        windows = windows[:, :: self.stride]  # (batch, out_t, channels, pool)
+        argmax = windows.argmax(axis=3)
+        if training:
+            self._cache = (argmax, x.shape, left)
+        return np.take_along_axis(windows, argmax[..., None], axis=3)[..., 0]
+
+    def backward(self, grad):
+        argmax, (batch, time, channels), left = self._cache
+        out_t = grad.shape[1]
+        total_pad = max((out_t - 1) * self.stride + self.pool_size - time, 0)
+        gxpad = np.zeros((batch, time + total_pad, channels))
+        b_idx, t_idx, c_idx = np.indices(grad.shape, sparse=True)
+        np.add.at(gxpad, (b_idx, t_idx * self.stride + argmax, c_idx), grad)
+        return gxpad[:, left : left + time]
+
+
+class TwoPassBatchNorm:
+    """Batch normalization over the batch and time axes with `mean` and
+    `var` as separate passes and the textbook backward expression."""
+
+    def __init__(self, gamma, beta, running_mean, running_var, eps: float, momentum: float):
+        self.gamma, self.beta = gamma.copy(), beta.copy()
+        self.running_mean, self.running_var = running_mean.copy(), running_var.copy()
+        self.eps, self.momentum = eps, momentum
+
+    @property
+    def params(self):
+        return {"gamma": self.gamma, "beta": self.beta}
+
+    @property
+    def grads(self):
+        return {"gamma": self.grad_gamma, "beta": self.grad_beta}
+
+    def forward(self, x, training=False):
+        if training:
+            mean = x.mean(axis=(0, 1))
+            var = x.var(axis=(0, 1))
+            inv_std = 1.0 / np.sqrt(var + self.eps)
+            xhat = (x - mean) * inv_std
+            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
+            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            self._cache = (xhat, inv_std)
+        else:
+            xhat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
+        return self.gamma * xhat + self.beta
+
+    def backward(self, grad):
+        xhat, inv_std = self._cache
+        n = xhat.shape[0] * xhat.shape[1]
+        self.grad_gamma = np.sum(grad * xhat, axis=(0, 1))
+        self.grad_beta = np.sum(grad, axis=(0, 1))
+        dxhat = grad * self.gamma
+        return (inv_std / n) * (
+            n * dxhat - dxhat.sum(axis=(0, 1)) - xhat * np.sum(dxhat * xhat, axis=(0, 1))
+        )

@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from breathline.audio_io import MAX_SAMPLE_RATE, AudioBuffer, load_wav, resample, write_wav
-from breathline.errors import ConfigError, FormatError, UnsupportedFormatError
+from breathline.errors import BreathlineError, ConfigError, FormatError, UnsupportedFormatError
 
 
 def test_roundtrip_float32(tmp_path):
@@ -139,6 +141,67 @@ def test_a_chunk_size_past_the_end_of_the_file_allocates_nothing(tmp_path, claim
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _size_fields(blob: bytes) -> list[int]:
+    """Byte offsets of the RIFF size and of every chunk's size field."""
+    offsets, pos = [4], 12
+    while pos + 8 <= len(blob):
+        offsets.append(pos + 4)
+        size = struct.unpack("<I", blob[pos + 4 : pos + 8])[0]
+        pos += 8 + size + size % 2
+    return offsets
+
+
+def wav_corruptions(valid: bytes):
+    """`valid` cut at any byte, with one byte changed, or with one size
+    field (RIFF or chunk) set to any uint32."""
+
+    def with_byte(change):
+        index, xor = change
+        return valid[:index] + bytes([valid[index] ^ xor]) + valid[index + 1 :]
+
+    def with_size(change):
+        offset, size = change
+        return valid[:offset] + struct.pack("<I", size) + valid[offset + 4 :]
+
+    truncated = st.integers(0, len(valid) - 1).map(lambda n: valid[:n])
+    flipped = st.tuples(st.integers(0, len(valid) - 1), st.integers(1, 255)).map(with_byte)
+    resized = st.tuples(st.sampled_from(_size_fields(valid)), st.integers(0, 2**32 - 1)).map(with_size)
+    return st.one_of(truncated, flipped, resized)
+
+
+@pytest.fixture(scope="module")
+def valid_wavs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    buf = AudioBuffer(np.random.default_rng(3).uniform(-1, 1, 1000), 16000)
+    blobs = {}
+    for encoding in ("pcm16", "float32"):
+        write_wav(root / f"{encoding}.wav", buf, encoding=encoding)
+        blobs[encoding] = (root / f"{encoding}.wav").read_bytes()
+    return blobs
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_corrupted_wav_loads_or_raises_breathline_error(tmp_path_factory, valid_wavs, encoding, data):
+    """Any truncation, byte change or chunk size either loads or raises a
+    BreathlineError, and reading never holds more than twice the file
+    plus 1 MiB, whatever size a header claims."""
+    blob = data.draw(wav_corruptions(valid_wavs[encoding]))
+    path = tmp_path_factory.getbasetemp() / f"corrupt-{encoding}.wav"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        try:
+            load_wav(path)
+        except BreathlineError:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(blob) + 2**20
 
 
 def test_unsupported_codec(tmp_path):

@@ -4,11 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import central_difference
+from oracles import LoopBiLSTM, TwoPassBatchNorm, WindowMaxPool, central_difference
 
 from breathline.errors import TrainingError
 from breathline.nn.layers import (
     BN_EPS,
+    BN_MOMENTUM,
     BatchNorm1D,
     Conv1D,
     Dropout,
@@ -260,11 +261,90 @@ def test_bilstm_shapes_and_gradients():
     loss()
     dx = lstm.backward(upstream)
     picker = np.random.default_rng(14)
-    for direction in (lstm.fwd, lstm.bwd):
-        _fd_assert(loss, direction.wx, direction.grad_wx, picker, n=6)
-        _fd_assert(loss, direction.wh, direction.grad_wh, picker, n=6)
-        _fd_assert(loss, direction.b, direction.grad_b, picker, n=6)
+    params, grads = lstm.params, lstm.grads
+    assert list(params) == ["fwd.wx", "fwd.wh", "fwd.b", "bwd.wx", "bwd.wh", "bwd.b"] == list(grads)
+    for name in params:
+        _fd_assert(loss, params[name], grads[name], picker, n=6)
     _fd_assert(loss, x, dx, picker, n=10)
+
+
+# The layers against tests/oracles.py's step-at-a-time versions, bit for
+# bit. Shapes: the default detector's layers at a training batch of 8
+# chunks of 800 frames and an inference batch of 32, batch 1, time 1.
+LSTM_SHAPES = [(8, 40, 8), (32, 40, 8), (1, 40, 8), (8, 1, 8), (1, 1, 8)]
+
+
+@pytest.mark.parametrize("batch, time, channels", LSTM_SHAPES)
+def test_bilstm_matches_loop_oracle(batch, time, channels):
+    rng = np.random.default_rng(batch * 1000 + time)
+    lstm = BiLSTM(channels, 32, rng)
+    lstm.b[...] = rng.normal(size=lstm.b.shape)
+    oracle = LoopBiLSTM(lstm.params)
+    x = rng.normal(size=(batch, time, channels))
+    upstream = rng.normal(size=(batch, time, 64))
+    assert np.array_equal(lstm.forward(x), oracle.forward(x))
+    assert lstm._cache is None  # an inference forward keeps nothing
+    assert np.array_equal(lstm.forward(x, training=True), oracle.forward(x, training=True))
+    assert np.array_equal(lstm.backward(upstream), oracle.backward(upstream))
+    for name, grad in oracle.grads.items():
+        assert np.array_equal(lstm.grads[name], grad), name
+
+
+def test_bilstm_parameters_are_views_into_the_direction_stacks():
+    lstm = BiLSTM(3, 4, np.random.default_rng(0))
+    for name, param in lstm.params.items():
+        param[...] = 7.0  # how Adam and load_model write
+    assert np.all(lstm.wx == 7.0) and np.all(lstm.wh == 7.0) and np.all(lstm.b == 7.0)
+
+
+# pooling: the detector's two pools at the training and inference batches,
+# batch 1 and time 1, windows past both ends (pool 7, stride 3 on 11
+# steps pads 2 left and 3 right), overlapping and single-step windows
+POOL_CASES = [
+    ((8, 800, 16), 3, 4),
+    ((8, 200, 8), 3, 5),
+    ((32, 800, 16), 3, 4),
+    ((32, 200, 8), 3, 5),
+    ((1, 1, 3), 3, 4),
+    ((1, 5, 3), 3, 5),
+    ((2, 11, 3), 7, 3),
+    ((2, 11, 3), 9, 2),
+    ((2, 12, 3), 4, 4),
+    ((2, 6, 3), 1, 1),
+]
+
+
+@pytest.mark.parametrize("shape, pool_size, stride", POOL_CASES)
+def test_maxpool_matches_window_oracle(shape, pool_size, stride):
+    rng = np.random.default_rng(pool_size * 100 + shape[1])
+    x = rng.normal(size=shape)
+    x[:, ::2] = np.round(x[:, ::2])  # ties, which go to the first maximum
+    pool, oracle = MaxPool1D(pool_size, stride), WindowMaxPool(pool_size, stride)
+    assert np.array_equal(pool.forward(x), oracle.forward(x))
+    assert pool._cache is None
+    y = pool.forward(x, training=True)
+    assert np.array_equal(y, oracle.forward(x, training=True))
+    upstream = rng.normal(size=y.shape)
+    assert np.array_equal(pool.backward(upstream), oracle.backward(upstream))
+
+
+@pytest.mark.parametrize("shape", [(8, 800, 16), (8, 200, 8), (32, 800, 16), (1, 1, 3), (1, 7, 3)])
+def test_batchnorm_matches_two_pass_oracle(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    bn = BatchNorm1D(shape[2])
+    bn.gamma[...] = rng.normal(1.0, 0.3, shape[2])
+    bn.beta[...] = rng.normal(0.0, 0.3, shape[2])
+    oracle = TwoPassBatchNorm(bn.gamma, bn.beta, bn.running_mean, bn.running_var, BN_EPS, BN_MOMENTUM)
+    for _ in range(3):
+        x = rng.normal(2.0, 3.0, shape)
+        upstream = rng.normal(size=shape)
+        assert np.array_equal(bn.forward(x, training=True), oracle.forward(x, training=True))
+        assert np.array_equal(bn.backward(upstream), oracle.backward(upstream))
+        assert np.array_equal(bn.grad_gamma, oracle.grad_gamma)
+        assert np.array_equal(bn.grad_beta, oracle.grad_beta)
+        assert np.array_equal(bn.running_mean, oracle.running_mean)
+        assert np.array_equal(bn.running_var, oracle.running_var)
+        assert np.array_equal(bn.forward(x), oracle.forward(x))
 
 
 def test_adam_zero_gradient_is_a_noop():

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import central_difference, enum_auprc
+from oracles import LoopBiLSTM, TwoPassBatchNorm, WindowMaxPool, central_difference, enum_auprc
 
 import breathline
 from breathline.errors import ConfigError, TrainingError
+from breathline.nn.layers import BN_EPS, BN_MOMENTUM, BatchNorm1D, MaxPool1D
 from breathline.nn.model import BreathDetectorModel, ModelConfig
+from breathline.nn.recurrent import BiLSTM
 from breathline.nn.train import TrainConfig, bce_loss, make_training_chunks, train
 
 SMALL = ModelConfig(
@@ -128,6 +130,41 @@ def test_training_is_deterministic():
     assert h1 == h2
     h3 = train(BreathDetectorModel(SMALL), items, TrainConfig(epochs=5, seed=10))
     assert h1 != h3
+
+
+def _oracle_layer(layer):
+    if isinstance(layer, BiLSTM):
+        return LoopBiLSTM(layer.params)
+    if isinstance(layer, MaxPool1D):
+        return WindowMaxPool(layer.pool_size, layer.stride)
+    if isinstance(layer, BatchNorm1D):
+        return TwoPassBatchNorm(layer.gamma, layer.beta, layer.running_mean, layer.running_var, BN_EPS, BN_MOMENTUM)
+    return layer
+
+
+def test_training_with_the_oracle_layers_gives_the_same_model():
+    """The default detector trained at batch 8 on float32 chunks, as the
+    CLI does, and the same detector with tests/oracles.py's BiLSTM,
+    MaxPool1D and BatchNorm1D swapped in: every loss, parameter, running
+    statistic and inference output is the same to the bit."""
+    rng = np.random.default_rng(11)
+    items = []
+    for _ in range(3):
+        labels = np.repeat(rng.random(60) < 0.3, 40)
+        feats = rng.normal(size=(2400, 130)) + 2.0 * labels[:, None]
+        items.append((feats.astype(np.float32), labels))
+    models = [BreathDetectorModel(ModelConfig(seed=4)) for _ in range(2)]
+    oracle = models[1]
+    oracle._layers = [(name, _oracle_layer(layer)) for name, layer in oracle._layers]
+    histories = [train(m, items, TrainConfig(epochs=2, batch_size=8, learning_rate=0.005, seed=5)) for m in models]
+    assert histories[0] == histories[1]
+    for (name, layer), (_, want) in zip(*(m._layers for m in models)):
+        for pname, param in layer.params.items():
+            assert np.array_equal(param, want.params[pname]), f"{name}.{pname}"
+        if isinstance(layer, BatchNorm1D):
+            assert np.array_equal(layer.running_mean, want.running_mean), name
+            assert np.array_equal(layer.running_var, want.running_var), name
+    assert np.array_equal(models[0].predict_file(items[0][0]), oracle.predict_file(items[0][0]))
 
 
 def test_training_accepts_single_class_targets():
