@@ -111,6 +111,18 @@ def _write_run_log(out_dir: str, argv, wall_s: float) -> None:
         f.write(f"wall_s: {wall_s:.3f}\n{peak}usable_cpus: {usable_cpus()}\n")
 
 
+def _return_free_heap() -> None:
+    """Give freed heap pages back to the OS. glibc keeps a varying share of
+    them (tens of MiB after `train-breath`) in a caller that runs `main`
+    in-process; a no-op where there is no `malloc_trim`."""
+    import ctypes
+
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
 def _add_flags(parser: argparse.ArgumentParser, *settings: str) -> None:
     """`--out`, then one flag per setting named in the settings table
     (`--seed` always), typed by that table. An absent flag is None, so a
@@ -408,6 +420,8 @@ def main(argv=None) -> int:
     except (BreathlineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _return_free_heap()
 
 
 if __name__ == "__main__":

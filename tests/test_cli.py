@@ -7,6 +7,7 @@ import json
 import logging
 import multiprocessing
 import os
+import platform
 import shutil
 import struct
 import subprocess
@@ -19,6 +20,7 @@ import pytest
 import breathline
 from breathline import evaluation
 from breathline.audio_io import AudioBuffer, write_wav
+from breathline import cli
 from breathline.cli import main, _setup_logging
 from breathline.manifest import load_manifest, save_manifest
 from breathline.nn import load_model
@@ -77,6 +79,30 @@ def test_run_log_leaves_out_a_peak_it_cannot_read(tmp_path, monkeypatch):
     assert main(["synth", "--real", "1", "--fake", "0", "--duration-ms", "2000", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "run.log").read_text().splitlines()
     assert lines[2].startswith("wall_s: ") and lines[3].startswith("usable_cpus: ") and len(lines) == 4
+
+
+def test_main_returns_free_heap_after_every_command(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_return_free_heap", lambda: calls.append(True))
+    assert main(["synth", "--real", "1", "--fake", "0", "--duration-ms", "2000", "--out", str(tmp_path)]) == 0
+    assert main(["synth", "--real", "1", "--fake", "0", "--duration-ms", "5000", "--bpm-min", "400",
+                 "--bpm-max", "400", "--out", str(tmp_path / "x")]) == 2
+    assert len(calls) == 2
+
+
+def _rss_mib():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmRSS:")) / 1024
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc_trim, VmRSS from procfs")
+def test_return_free_heap_gives_back_freed_arrays_between_live_ones():
+    np.ones(2 << 20)  # freed at once: glibc now keeps 1 MiB arrays on its heap
+    arrays = [np.ones(1 << 17) for _ in range(96)]  # 1 MiB each, touched
+    del arrays[::2]  # holes that live neighbours keep from merging into the heap top
+    before = _rss_mib()
+    cli._return_free_heap()
+    assert before - _rss_mib() > 24
 
 
 def test_synth_infeasible_config_exits_2(tmp_path, capsys):
