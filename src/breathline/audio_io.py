@@ -1,9 +1,12 @@
 """WAV ingestion, writing, and resampling.
 
-Everything downstream works on mono float buffers at a canonical 16 kHz
-rate; files are converted on ingest. The RIFF parser is deliberately
-hand-rolled so that unsupported encodings are rejected with a message
-naming the encoding instead of being silently mangled.
+Everything downstream works on mono float samples at a canonical 16 kHz
+rate; files are converted on ingest. The RIFF parser, `open_wav`, is
+deliberately hand-rolled so that unsupported encodings are rejected with
+a message naming the encoding instead of being silently mangled. It
+gives a `WavSource`, whose spans are read from the file as needed;
+`load_wav` reads one whole into an `AudioBuffer`. Both have
+`read(lo, hi)`, so feature extraction takes either.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import itertools
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -37,6 +40,9 @@ BLOCK_ELEMENTS = 1 << 18
 # the filter's taps are computed this many at a time, so its temporaries
 # stay small beside the filter itself (8 bytes per tap)
 FILTER_PIECE = 1 << 16
+# frames decoded at a time by a WavSource read and by a float32 file's
+# scan at open (at most about 2 MiB of buffers per piece)
+READ_FRAMES = 1 << 16
 
 _FORMAT_NAMES = {
     0x0001: "PCM",
@@ -76,6 +82,13 @@ class AudioBuffer:
     def duration_ms(self) -> float:
         return 1000.0 * self.num_samples / self.sample_rate
 
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples [lo, hi), a view: the same call as `WavSource.read`."""
+        return self.samples[lo:hi]
+
+    def close(self) -> None:
+        """Nothing to release: the same call as `WavSource.close`."""
+
 
 def _sample_range(samples: np.ndarray) -> tuple[float, float]:
     """(min, max) of the samples, (0, 0) when empty. NaN and inf carry
@@ -85,47 +98,110 @@ def _sample_range(samples: np.ndarray) -> tuple[float, float]:
     return float(samples.min()), float(samples.max())
 
 
-def _read_chunk(fh, path, size: int, what: str) -> bytes:
-    """A chunk body of `size` bytes. The size is checked against the bytes
-    left in the file first, so a header that promises more allocates nothing."""
+def _check_chunk(fh, path, size: int, what: str) -> None:
+    """Raise unless a chunk body of `size` bytes fits in the bytes left in
+    the file, so a header that promises more allocates nothing."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
-    data = fh.read(size) if size <= left else b""
-    if len(data) != size:
+    if size > left:
         raise FormatError(f"{path}: truncated WAV file: the {what} chunk claims {size} bytes, {left} are left")
-    return data
 
 
-def load_wav(path) -> AudioBuffer:
-    """Load a RIFF/WAVE file as a mono buffer scaled to [-1, 1].
+class WavSource:
+    """An open WAV file read span by span: `read(lo, hi)` reads just the
+    bytes of samples [lo, hi) with positioned reads, so any thread may read
+    any span, and converts them as `load_wav` does. Use it as a context
+    manager, or `close` it."""
 
-    Supports 16-bit PCM and 32-bit IEEE float, 1-2 channels. Stereo is
-    averaged down to mono. 16-bit samples are scaled by 1/32768.
-    """
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-        if len(header) < 12 or header[:4] != b"RIFF" or header[8:12] != b"WAVE":
-            raise FormatError(f"{path}: not a RIFF/WAVE file")
+    def __init__(self, path, fh, offset: int, num_samples: int, sample_rate: int, channels: int, dtype: str):
+        self.path, self._fh, self._offset = path, fh, offset
+        self.num_samples, self.sample_rate, self._channels, self._dtype = num_samples, sample_rate, channels, dtype
+        self._peak = 1.0  # samples are divided by a larger peak
 
-        fmt = None
-        data = None
-        while True:
-            chunk_hdr = fh.read(8)
-            if len(chunk_hdr) == 0:
-                break
-            if len(chunk_hdr) < 8:
-                raise FormatError(f"{path}: truncated chunk header")
-            chunk_id, size = struct.unpack("<4sI", chunk_hdr)
-            if chunk_id == b"fmt ":
-                if size < 16:
-                    raise FormatError(f"{path}: fmt chunk too small ({size} bytes)")
-                body = _read_chunk(fh, path, size, "fmt")
-                fmt = struct.unpack("<HHIIHH", body[:16])
-            elif chunk_id == b"data":
-                data = _read_chunk(fh, path, size, "data")
-            else:
-                fh.seek(size, 1)
-            if size % 2:  # chunks are word-aligned
-                fh.seek(1, 1)
+    @property
+    def duration_ms(self) -> float:
+        return 1000.0 * self.num_samples / self.sample_rate
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples [lo, hi) as float64, cut at the end of the file as a
+        slice is, in pieces of READ_FRAMES frames."""
+        hi = min(hi, self.num_samples)
+        lo = min(lo, hi)
+        out = np.empty(hi - lo)
+        for a in range(lo, hi, READ_FRAMES):
+            b = min(a + READ_FRAMES, hi)
+            out[a - lo : b - lo] = self._decode(a, b)
+        if self._peak > 1.0:
+            out /= self._peak
+        return out
+
+    def _decode(self, lo: int, hi: int) -> np.ndarray:
+        """Frames [lo, hi) as mono float64, before any peak division."""
+        raw = np.empty((hi - lo) * self._channels, self._dtype)
+        view = memoryview(raw).cast("B")
+        start = self._offset + lo * raw.itemsize * self._channels
+        done = 0
+        while done < len(view):
+            got = os.preadv(self._fh.fileno(), [view[done:]], start + done)
+            if not got:
+                raise FormatError(f"{self.path}: truncated WAV file: it ends before sample {hi} of {self.num_samples}")
+            done += got
+        samples = raw.astype(np.float64)
+        if self._dtype == "<i2":
+            samples /= PCM16_SCALE
+        if self._channels == 2:
+            samples = samples.reshape(-1, 2).mean(axis=1)
+        return samples
+
+    def _scan(self) -> None:
+        """Check a float32 payload for non-finite values and find its peak,
+        one piece at a time."""
+        peak = 0.0
+        for lo in range(0, self.num_samples, READ_FRAMES):
+            low, high = _sample_range(self._decode(lo, min(lo + READ_FRAMES, self.num_samples)))
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise FormatError(f"{self.path}: non-finite sample values")
+            peak = max(peak, -low, high)
+        self._peak = peak
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def _read_header(fh, path) -> tuple:
+    """Parse the RIFF headers: (data offset, frames, sample rate, channels,
+    sample dtype). The file position ends past the last chunk."""
+    header = fh.read(12)
+    if len(header) < 12 or header[:4] != b"RIFF" or header[8:12] != b"WAVE":
+        raise FormatError(f"{path}: not a RIFF/WAVE file")
+
+    fmt = None
+    data = None  # (offset, size)
+    while True:
+        chunk_hdr = fh.read(8)
+        if len(chunk_hdr) == 0:
+            break
+        if len(chunk_hdr) < 8:
+            raise FormatError(f"{path}: truncated chunk header")
+        chunk_id, size = struct.unpack("<4sI", chunk_hdr)
+        if chunk_id == b"fmt ":
+            if size < 16:
+                raise FormatError(f"{path}: fmt chunk too small ({size} bytes)")
+            _check_chunk(fh, path, size, "fmt")
+            fmt = struct.unpack("<HHIIHH", fh.read(size)[:16])
+        elif chunk_id == b"data":
+            _check_chunk(fh, path, size, "data")
+            data = fh.tell(), size
+            fh.seek(size, 1)
+        else:
+            fh.seek(size, 1)
+        if size % 2:  # chunks are word-aligned
+            fh.seek(1, 1)
 
     if fmt is None:
         raise FormatError(f"{path}: missing fmt chunk")
@@ -145,25 +221,38 @@ def load_wav(path) -> AudioBuffer:
     if not 1 <= sample_rate <= MAX_SAMPLE_RATE:
         raise FormatError(f"{path}: sample rate {sample_rate} Hz is outside 1..{MAX_SAMPLE_RATE}")
 
-    bytes_per_sample = bits // 8
-    frame_bytes = bytes_per_sample * channels
-    if len(data) % frame_bytes:
-        data = data[: len(data) - len(data) % frame_bytes]
+    offset, size = data
+    frames = size // (bits // 8 * channels)  # a partial last frame is dropped
+    return offset, frames, sample_rate, channels, "<i2" if audio_format == 1 else "<f4"
 
-    raw = np.frombuffer(data, dtype="<i2" if audio_format == 1 else "<f4").astype(np.float64)
-    del data  # free the payload before stereo averaging allocates again
-    if audio_format == 1:
-        raw /= PCM16_SCALE
-    if channels == 2:
-        raw = raw.reshape(-1, 2).mean(axis=1)
 
-    low, high = _sample_range(raw)
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise FormatError(f"{path}: non-finite sample values")
-    peak = max(-low, high)
-    if peak > 1.0:
-        raw /= peak
-    return AudioBuffer(raw, sample_rate)
+def open_wav(path) -> WavSource:
+    """Open a RIFF/WAVE file for reading spans of its samples.
+
+    Supports 16-bit PCM and 32-bit IEEE float, 1-2 channels. Only the
+    headers are read; a float32 payload is also scanned once, in pieces,
+    for non-finite values and its peak.
+    """
+    fh = open(path, "rb")
+    try:
+        source = WavSource(path, fh, *_read_header(fh, path))
+        if source._dtype == "<f4":
+            source._scan()
+        return source
+    except BaseException:
+        fh.close()
+        raise
+
+
+def load_wav(path) -> AudioBuffer:
+    """Load a RIFF/WAVE file as a mono buffer scaled to [-1, 1].
+
+    Supports what `open_wav` does. Stereo is averaged down to mono.
+    16-bit samples are scaled by 1/32768, and a float file whose peak
+    exceeds 1 is divided by its peak.
+    """
+    with open_wav(path) as source:
+        return AudioBuffer(source.read(0, source.num_samples), source.sample_rate)
 
 
 def write_wav(path, buffer: AudioBuffer, encoding: str = "float32") -> None:

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .annotations import BreathIntervalSet, frames_from_intervals, load_annotations, steps_from_frames
-from .audio_io import CANONICAL_RATE, AudioBuffer, load_wav, resample
+from .audio_io import CANONICAL_RATE, AudioBuffer, load_wav, open_wav, resample
 from .breath_stats import BreathStats, compute_stats
 from .classifiers import (
     LabeledSample,
@@ -320,7 +320,7 @@ def outlet_disjoint_split(entries: list[ManifestEntry], seed: int = 0) -> SplitP
 
 
 def _canonical_audio(path) -> AudioBuffer:
-    """A WAV file's audio at CANONICAL_RATE."""
+    """A WAV file's audio at CANONICAL_RATE, read whole."""
     audio = load_wav(path)
     if audio.sample_rate != CANONICAL_RATE:
         audio = resample(audio, CANONICAL_RATE)
@@ -337,70 +337,106 @@ def detect_manifest(
 
     Sources are resolved relative to the manifest's directory. A pool of
     `usable_cpus()` threads, the caller among them (with one CPU, the
-    caller alone), takes tasks in manifest order: load a file, or run one
-    unit of a loaded file's `DetectionJob`. Units go first, so a file is
-    loaded only when no unit waits, and the thread that ends a file's last
-    unit finishes the file. The units do not depend on the thread count,
-    so neither do the results. A file that fails with a BreathlineError or
-    OSError is recorded, not raised. Returns the `(entry, intervals,
-    stats)` rows and the failed ids' messages, both sorted by id."""
+    caller alone), takes tasks in manifest order: open a file (a 16 kHz
+    file stays on disk and is read span by span; any other is read and
+    resampled whole), or run one piece of an open file's `DetectionJob`.
+    Pieces go first, the earliest first, so a file is opened only when no
+    piece waits; the thread that ends a unit's last piece runs its batch,
+    and the thread that ends a file's last task finishes the file. The
+    pieces and units do not depend on the thread count, so neither do the
+    results. A file that fails with a BreathlineError or OSError is
+    recorded, not raised: its error is that of its earliest failing task
+    in task order, its pieces not yet started are skipped, and its file is
+    closed either way. Returns the `(entry, intervals, stats)` rows and
+    the failed ids' messages, both sorted by id."""
     entries = collections.deque(load_manifest(manifest_path))
     base = os.path.dirname(os.fspath(manifest_path))
-    rows, errors = {}, {}
-    units = collections.deque()  # (entry, job, unit index), waiting to run
-    remaining = {}  # entry id -> tasks of its file not yet done
+    rows, failures = {}, {}  # failures: entry id -> (index of the failing task, -1 for the open; message)
+    pieces = collections.deque()  # (entry, job, piece index), waiting to run
+    jobs, remaining = {}, {}  # entry id -> its open job; tasks of its file not yet done
     loading, stopped = 0, False
     ready = threading.Condition()
 
     def take():
-        """The next task; waits while only a load in progress can add one."""
+        """The next task; waits while only an open in progress can add one."""
         nonlocal loading
         with ready:
-            while not stopped and (units or entries or loading):
-                if units:
-                    return units.popleft()
+            while not stopped and (pieces or entries or loading):
+                if pieces:
+                    return pieces.popleft()
                 if entries:
                     loading += 1
-                    return entries.popleft(), None, None
+                    return entries.popleft(), None, -1
                 ready.wait()
             return None
 
-    def run(entry: ManifestEntry, job: Optional[DetectionJob], index: Optional[int]) -> None:
+    def open_job(entry: ManifestEntry) -> DetectionJob:
+        path = os.path.join(base, entry.source)
+        audio = open_wav(path)  # at CANONICAL_RATE, read span by span
+        if audio.sample_rate != CANONICAL_RATE:
+            audio.close()
+            audio = _canonical_audio(path)
+        try:
+            return DetectionJob(model, audio, detection_config)
+        except BaseException:
+            audio.close()
+            raise
+
+    def fail(entry_id: str, index: int, exc: Exception) -> None:
+        with ready:  # the earliest failing task in task order names the error
+            if entry_id not in failures or index < failures[entry_id][0]:
+                failures[entry_id] = index, str(exc)
+
+    def run(entry: ManifestEntry, job: Optional[DetectionJob], index: int) -> None:
         nonlocal loading
-        if job is None:
-            try:
-                job = DetectionJob(model, _canonical_audio(os.path.join(base, entry.source)), detection_config)
-            finally:
-                with ready:  # the load ends and its units appear in one step
-                    loading -= 1
-                    if job is not None:
-                        remaining[entry.id] = job.num_units + 1  # its units and this load
-                        units.extend((entry, job, i) for i in range(job.num_units))
-                    ready.notify_all()
-        else:
-            job.run_unit(index)
+        try:
+            if job is None:
+                try:
+                    job = open_job(entry)
+                finally:
+                    with ready:  # the open ends and its pieces appear in one step
+                        loading -= 1
+                        if job is not None:
+                            jobs[entry.id] = job
+                            remaining[entry.id] = len(job.pieces) + 1  # its pieces and this open
+                            pieces.extend((entry, job, i) for i in range(len(job.pieces)))
+                        ready.notify_all()
+            elif entry.id not in failures:
+                job.run_piece(index)
+        except (BreathlineError, OSError) as exc:
+            fail(entry.id, index, exc)
+            if job is None:
+                return
         with ready:
             remaining[entry.id] -= 1
             if remaining[entry.id]:
                 return
-        intervals = job.intervals()
-        rows[entry.id] = entry, intervals, compute_stats(intervals, job.audio.duration_ms)
+            del jobs[entry.id]
+        job.audio.close()
+        if entry.id not in failures:
+            try:
+                intervals = job.intervals()
+                rows[entry.id] = entry, intervals, compute_stats(intervals, job.audio.duration_ms)
+            except (BreathlineError, OSError) as exc:
+                fail(entry.id, len(job.pieces), exc)
 
     def work() -> None:
         nonlocal stopped
         try:
             while (task := take()) is not None:
-                try:
-                    run(*task)
-                except (BreathlineError, OSError) as exc:
-                    errors[task[0].id] = str(exc)
+                run(*task)
         except BaseException:
             with ready:  # the other threads stop after their current task
                 stopped = True
                 ready.notify_all()
             raise
 
-    run_on_threads([work] * usable_cpus())
+    try:
+        run_on_threads([work] * usable_cpus())
+    finally:
+        for job in jobs.values():
+            job.audio.close()
+    errors = {entry_id: message for entry_id, (_, message) in failures.items()}
     return [rows[i] for i in sorted(rows)], dict(sorted(errors.items()))
 
 

@@ -8,8 +8,11 @@ math runs in float64; the stored rows are float32.
 `fill_feature_rows` computes any span of frames in blocks of
 `BLOCK_FRAMES`, calling `mel_spectrogram_db`, `zcr` and `rmse_db` by
 name, with one `_MelScratch`: about 1.8 MiB at the defaults, plus the
-1 MiB complex spectrum the FFT returns per block. Detection runs it on
-one `predict_file` batch of frames at a time (`postprocess.DetectionJob`).
+1 MiB complex spectrum the FFT returns per block. Each block's samples
+come from `read(lo, hi)` of its audio: a slice of an `AudioBuffer`, or
+just those samples read from an open WAV file (`audio_io.WavSource`).
+Detection runs it on one piece of a `predict_file` batch's frames at a
+time (`postprocess.DetectionJob`), so a 16 kHz file is never read whole.
 `extract_features`, for training and the frame experiments, fills a
 whole-file matrix in contiguous shares of blocks, one per usable CPU: the
 caller builds every share's scratch (so the cached window and filterbank
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, WavSource
 from .errors import ConfigError
 
 # dB floors: -100 dB for both the mel power spectrogram and the RMSE track
@@ -112,12 +115,11 @@ class FeatureMatrix:
         return self.data.shape[0]
 
 
-def _frames(samples: np.ndarray, window: int, hop: int, start: int, stop: int) -> np.ndarray:
-    """Frames [start, stop) of the zero-padded framing, shape
-    (stop - start, window): a view of `samples` where they cover every
-    frame, else a zero-padded copy of just this span."""
-    span = samples[start * hop : (stop - 1) * hop + window]
-    needed = (stop - start - 1) * hop + window
+def _frames(span: np.ndarray, window: int, hop: int, count: int) -> np.ndarray:
+    """`count` frames of `window` samples every `hop` samples from the start
+    of `span`, shape (count, window): a view of `span` where it covers every
+    frame, else of a zero-padded copy of it."""
+    needed = (count - 1) * hop + window
     if len(span) < needed:
         span = np.concatenate([span, np.zeros(needed - len(span))])
     return np.lib.stride_tricks.sliding_window_view(span, window)[::hop]
@@ -263,10 +265,13 @@ def mel_spectrogram_db(
     return scratch.mel_db(frames)
 
 
-def fill_feature_rows(out: np.ndarray, buffer: AudioBuffer, config: FeatureConfig, start: int, scratch=None) -> None:
+def fill_feature_rows(
+    out: np.ndarray, buffer: AudioBuffer | WavSource, config: FeatureConfig, start: int, scratch=None
+) -> None:
     """Write the features of frames [start, start + len(out)) into `out`,
     in blocks of `BLOCK_FRAMES` from `start`, reusing `scratch` (a
-    `_MelScratch` for the same window, n_mels and rate) or one of its own."""
+    `_MelScratch` for the same window, n_mels and rate) or one of its own.
+    Each block's samples come from `buffer.read`."""
     window = config.window_samples(buffer.sample_rate)
     hop = config.hop_samples(buffer.sample_rate)
     stop = start + len(out)
@@ -274,14 +279,14 @@ def fill_feature_rows(out: np.ndarray, buffer: AudioBuffer, config: FeatureConfi
         scratch = _MelScratch(min(BLOCK_FRAMES, len(out)), window, config.n_mels, buffer.sample_rate)
     for lo in range(start, stop, BLOCK_FRAMES):
         hi = min(lo + BLOCK_FRAMES, stop)
-        block = _frames(buffer.samples, window, hop, lo, hi)
+        block = _frames(buffer.read(lo * hop, (hi - 1) * hop + window), window, hop, hi - lo)
         rows = out[lo - start : hi - start]
         rows[:, : config.n_mels] = mel_spectrogram_db(block, config.n_mels, buffer.sample_rate, scratch=scratch)
         rows[:, config.n_mels] = zcr(block)
         rows[:, config.n_mels + 1] = rmse_db(block)
 
 
-def extract_features(buffer: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
+def extract_features(buffer: AudioBuffer | WavSource, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     window = config.window_samples(buffer.sample_rate)
     hop = config.hop_samples(buffer.sample_rate)
     num_frames = buffer.num_samples // hop

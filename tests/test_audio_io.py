@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from breathline.audio_io import MAX_SAMPLE_RATE, AudioBuffer, load_wav, resample, write_wav
+from breathline.audio_io import MAX_SAMPLE_RATE, READ_FRAMES, AudioBuffer, load_wav, open_wav, resample, write_wav
 from breathline.errors import BreathlineError, ConfigError, FormatError, UnsupportedFormatError
 
 
@@ -188,20 +188,71 @@ def valid_wavs(tmp_path_factory):
 def test_corrupted_wav_loads_or_raises_breathline_error(tmp_path_factory, valid_wavs, encoding, data):
     """Any truncation, byte change or chunk size either loads or raises a
     BreathlineError, and reading never holds more than twice the file
-    plus 1 MiB, whatever size a header claims."""
+    plus 1 MiB, whatever size a header claims. `open_wav` agrees: it
+    raises a BreathlineError too, or every span it reads is the loaded
+    samples' slice, bit for bit."""
     blob = data.draw(wav_corruptions(valid_wavs[encoding]))
     path = tmp_path_factory.getbasetemp() / f"corrupt-{encoding}.wav"
     path.write_bytes(blob)
     tracemalloc.start()
     try:
         try:
-            load_wav(path)
+            want = load_wav(path).samples
         except BreathlineError:
-            pass
+            want = None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * len(blob) + 2**20
+    try:
+        with open_wav(path) as source:
+            bound = st.integers(0, source.num_samples + 2)
+            spans = data.draw(st.lists(st.tuples(bound, bound).map(sorted), min_size=1, max_size=4))
+            got = [source.read(lo, hi) for lo, hi in spans]
+    except BreathlineError:
+        assert want is None
+    else:
+        assert want is not None
+        for (lo, hi), samples in zip(spans, got):
+            assert samples.dtype == np.float64 and samples.tobytes() == want[lo:hi].tobytes()
+
+
+def _wav(payload: np.ndarray, channels: int) -> bytes:
+    """A 16 kHz WAV of interleaved '<i2' (PCM) or '<f4' (IEEE float) samples."""
+    tag, width = (1, 2) if payload.dtype == np.dtype("<i2") else (3, 4)
+    fmt = struct.pack("<HHIIHH", tag, channels, 16000, 16000 * channels * width, channels * width, 8 * width)
+    data = payload.tobytes()
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("channels", [1, 2], ids=["mono", "stereo"])
+@pytest.mark.parametrize("kind", ["pcm16", "float32", "loud float32"])
+def test_every_span_reads_as_the_loaded_samples(tmp_path, kind, channels):
+    """Spans within a read piece, across pieces, past the end and empty
+    are the slices of `load_wav`'s samples, and those are the decoded
+    payload: scaled by 1/32768, channels averaged, divided by a peak
+    above 1."""
+    frames = READ_FRAMES + 4465
+    rng = np.random.default_rng(channels)
+    if kind == "pcm16":
+        payload = rng.integers(-32768, 32768, frames * channels).astype("<i2")
+        want = payload.astype(np.float64) / 32768.0
+    else:
+        payload = rng.uniform(-3.0 if kind.startswith("loud") else -1.0, 1.0, frames * channels).astype("<f4")
+        want = payload.astype(np.float64)
+    want = want.reshape(-1, channels).mean(axis=1)
+    if kind.startswith("loud"):
+        want /= np.max(np.abs(want))
+    path = tmp_path / "a.wav"
+    path.write_bytes(_wav(payload, channels))
+    loaded = load_wav(path).samples
+    assert loaded.tobytes() == want.tobytes()
+    spans = [(0, frames), (0, 1), (5, 5), (READ_FRAMES - 7, READ_FRAMES + 9), (100, 2 * READ_FRAMES), (frames - 3, frames + 10)]
+    with open_wav(path) as source:
+        assert (source.num_samples, source.sample_rate) == (frames, 16000)
+        for lo, hi in spans:
+            assert source.read(lo, hi).tobytes() == loaded[lo:hi].tobytes(), (lo, hi)
 
 
 def test_unsupported_codec(tmp_path):

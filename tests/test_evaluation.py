@@ -5,9 +5,11 @@ import json
 import multiprocessing
 import os
 import shutil
+import struct
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,12 +442,101 @@ def test_a_failing_unit_raises_and_leaves_no_thread(mixed_manifest, detector, mo
     def fail(self, index):
         raise RuntimeError("unit failed")
 
-    monkeypatch.setattr(DetectionJob, "run_unit", fail)
+    monkeypatch.setattr(DetectionJob, "run_piece", fail)
     monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="unit failed"):
         detect_manifest(detector[0], mixed_manifest, DetectionConfig())
     assert threading.active_count() == before
+
+
+def _write_float32_wav(path, minutes: float, seed: int, nan_at=None) -> None:
+    """A 16 kHz float32 WAV of noise, written a few seconds at a time, so
+    the test never holds the whole recording; `nan_at` puts a NaN there."""
+    n = int(minutes * 60 * 16000)
+    fmt = struct.pack("<HHIIHH", 3, 1, 16000, 64000, 4, 32)
+    rng = np.random.default_rng(seed)
+    with open(path, "wb") as f:
+        f.write(b"RIFF" + struct.pack("<I", 36 + 4 * n) + b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt)
+        f.write(b"data" + struct.pack("<I", 4 * n))
+        for lo in range(0, n, 10 * 16000):
+            piece = rng.uniform(-0.5, 0.5, min(10 * 16000, n - lo)).astype("<f4")
+            if nan_at is not None and lo <= nan_at < lo + len(piece):
+                piece[nan_at - lo] = np.nan
+            f.write(piece.tobytes())
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in procfs")
+def test_a_streamed_file_that_fails_leaves_no_row_thread_or_descriptor(tmp_path, monkeypatch):
+    """A float32 file with a NaN only in its last unit fails at its open;
+    a file cut short after its open fails in the first piece past the cut,
+    and its later pieces are skipped. Each failure is its earliest failing
+    task's at any thread count, also when a later piece fails first, the
+    good file still gets its row, and every file is closed."""
+    real_open, real_piece, pieces_run, opened = evaluation.open_wav, DetectionJob.run_piece, [], []
+
+    def open_then_cut(path):
+        source = real_open(path)
+        opened.append(source)  # held here, so only `close` gives its descriptor back
+        if os.path.basename(path) == "cut.wav":
+            os.truncate(path, 44 + 4 * 35 * 16000)  # 35 s are left: the third piece reads past the end
+        return source
+
+    def counted(job, index):
+        name = os.path.basename(job.audio.path)
+        pieces_run.append((name, index))
+        if (name, index, cpus) == ("cut.wav", 2, 2):
+            time.sleep(0.2)  # the fourth piece fails first, on the other thread
+        real_piece(job, index)
+
+    monkeypatch.setattr(evaluation, "open_wav", open_then_cut)
+    monkeypatch.setattr(DetectionJob, "run_piece", counted)
+    model, results = BreathDetectorModel(ModelConfig()), []
+    for cpus in (1, 2):
+        _write_float32_wav(tmp_path / "nan.wav", 70 / 60, seed=1, nan_at=69 * 16000)
+        _write_float32_wav(tmp_path / "cut.wav", 70 / 60, seed=2)  # pieces: 4 of the first unit, 1 of the second
+        _write_float32_wav(tmp_path / "good.wav", 20 / 60, seed=3)
+        entries = [ManifestEntry(name, f"{name}.wav", "real", "show") for name in ("nan", "cut", "good")]
+        save_manifest(tmp_path / "manifest.csv", entries)
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+        pieces_run.clear()
+        threads, descriptors = threading.active_count(), _open_descriptors()
+        rows, errors = detect_manifest(model, tmp_path / "manifest.csv", DetectionConfig())
+        assert threading.active_count() == threads and _open_descriptors() == descriptors
+        assert [entry.id for entry, _, _ in rows] == ["good"]
+        cut_pieces = sorted(index for name, index in pieces_run if name == "cut.wav")
+        assert cut_pieces == [0, 1, 2] if cpus == 1 else cut_pieces[:4] == [0, 1, 2, 3]
+        results.append(errors)
+    assert results[0] == results[1]
+    assert sorted(results[0]) == ["cut", "nan"]
+    assert results[0]["nan"] == f"{tmp_path / 'nan.wav'}: non-finite sample values"
+    assert results[0]["cut"].startswith(f"{tmp_path / 'cut.wav'}: truncated WAV file: it ends before sample ")
+
+
+def test_streamed_detection_memory_does_not_grow_with_the_recording(tmp_path, monkeypatch):
+    """A 16 kHz file is read span by span, never whole: between 2 and 8
+    minutes only the step probabilities grow (58 KiB), where the float64
+    samples read whole grew by 44 MiB."""
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 1)  # the same units in flight on every run
+    model = BreathDetectorModel(ModelConfig())
+    peaks = []
+    for minutes in (0.25, 2, 8):  # the first builds the cached window and filterbank
+        directory = tmp_path / f"m{minutes}"
+        directory.mkdir()
+        _write_float32_wav(directory / "a.wav", minutes, seed=4)
+        save_manifest(directory / "manifest.csv", [ManifestEntry("a", "a.wav", "real", "show")])
+        tracemalloc.start()
+        try:
+            rows, errors = detect_manifest(model, directory / "manifest.csv", DetectionConfig())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 1 and not errors
+    assert abs(peaks[2] - peaks[1]) < 2**20
 
 
 def test_parse_experiment_config(tmp_path):
