@@ -18,8 +18,11 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
+import mmap
 import multiprocessing
 import os
+import tempfile
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -126,8 +129,10 @@ def fold_seed(seed: int, fold_index: int) -> int:
     return seed ^ (fold_index + 1)
 
 
-# one fold of a frame test: (training pairs, validation pairs, fold seed)
-FoldSpec = tuple[list[tuple[np.ndarray, np.ndarray]], list[tuple[np.ndarray, np.ndarray]], int]
+# a stretch of one corpus item's frames: (item index, start, stop)
+Span = tuple[int, int, int]
+# one fold of a frame test: (training spans, validation spans, fold seed)
+FoldSpec = tuple[list[Span], list[Span], int]
 
 # BLAS and OpenMP read these when numpy loads in a new process
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -149,45 +154,74 @@ def _single_threaded_blas():
                 os.environ[name] = value
 
 
-def _fit_in_processes(jobs: list[tuple], workers: int) -> list[list[np.ndarray]]:
-    """`fit_and_predict(*job)` for every job on `workers` spawned
-    processes with single-threaded BLAS, in job order. The first failure
-    in job order is raised and the jobs not yet started are cancelled."""
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-    try:
-        # with spawn, `submit` starts the processes, which read the
-        # thread variables as they start
-        with _single_threaded_blas():
-            futures = [pool.submit(fit_and_predict, *job) for job in jobs]
-        return [future.result() for future in futures]
-    except BrokenProcessPool as exc:
-        raise BreathlineError(
-            "a fold worker process ended abruptly: it was killed, or a script runs the "
-            "experiments without an `if __name__ == '__main__':` guard"
-        ) from exc
-    finally:
-        pool.shutdown(cancel_futures=True)
+# a fold worker's corpus, (features, frame labels) per item, filled by `_map_corpus`
+_mapped_corpus: list[tuple[np.ndarray, np.ndarray]] = []
 
 
-def _fold_auprcs(specs: list[FoldSpec], model_config: ModelConfig, train_config: TrainConfig) -> list[float]:
+def _map_corpus(path, layout: list[tuple[int, str, tuple]]) -> None:
+    """Fold worker initializer: map the corpus file read-only, given the
+    (offset, dtype, shape) of each array, features and labels in turn."""
+    with open(path, "rb") as f:
+        buffer = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    arrays = [np.frombuffer(buffer, dtype, math.prod(shape), offset).reshape(shape) for offset, dtype, shape in layout]
+    _mapped_corpus[:] = zip(arrays[0::2], arrays[1::2])
+
+
+def _fit_spans(fit, spec: FoldSpec, model_config: ModelConfig, train_config: TrainConfig, corpus=_mapped_corpus):
+    """`fit` (`fit_and_predict`'s signature) on the frames that a fold
+    spec's spans cut from `corpus`, by default this fold worker's."""
+    train_spans, val_spans, seed = spec
+    train_pairs = [(corpus[i][0][a:b], corpus[i][1][a:b]) for i, a, b in train_spans]
+    return fit(train_pairs, [corpus[i][0][a:b] for i, a, b in val_spans], model_config, train_config, seed)
+
+
+def _fit_in_processes(corpus: list[tuple[np.ndarray, np.ndarray]], jobs: list[tuple], workers: int) -> list:
+    """`_fit_spans(*job)` for every job on `workers` spawned processes
+    with single-threaded BLAS, in job order. The corpus arrays are written
+    once, each in its own dtype, to a temporary file that every worker
+    maps read-only, so a job carries only spans. The first failure in job
+    order is raised and the jobs not yet started are cancelled."""
+    with tempfile.TemporaryDirectory() as folder:
+        path, layout = os.path.join(folder, "corpus"), []
+        with open(path, "wb") as f:
+            for array in map(np.ascontiguousarray, [array for pair in corpus for array in pair]):
+                f.write(bytes(-f.tell() % 64))  # each array starts on a 64-byte boundary
+                layout.append((f.tell(), array.dtype.str, array.shape))
+                f.write(array.data)
+        spawn = multiprocessing.get_context("spawn")
+        pool = ProcessPoolExecutor(workers, mp_context=spawn, initializer=_map_corpus, initargs=(path, layout))
+        try:
+            # with spawn, `submit` starts the processes, which read the
+            # thread variables as they start
+            with _single_threaded_blas():
+                futures = [pool.submit(_fit_spans, *job) for job in jobs]
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            raise BreathlineError(
+                "a fold worker process ended abruptly: it was killed, or a script runs the "
+                "experiments without an `if __name__ == '__main__':` guard"
+            ) from exc
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _fold_auprcs(
+    items: list[CorpusItem], specs: list[FoldSpec], model_config: ModelConfig, train_config: TrainConfig
+) -> list[float]:
     """The pooled validation AUPRC of each fold, in fold order.
 
     Each fold trains a fresh detector (`fit_and_predict`) with its own
-    seed. The folds run inline with one usable CPU, else on up to one
-    spawned process per usable CPU; a fold's result depends only on its
-    spec, so the values do not depend on the worker count."""
-    jobs = [
-        (train_pairs, [features for features, _ in val_pairs], model_config, train_config, seed)
-        for train_pairs, val_pairs, seed in specs
-    ]
+    seed on the spans its spec cuts from `items`. The folds run inline
+    with one usable CPU, else on up to one spawned process per usable
+    CPU; a fold's result depends only on its spec, so the values do not
+    depend on the worker count."""
+    corpus = [(item.features, item.frame_labels) for item in items]
+    jobs = [(fit_and_predict, spec, model_config, train_config) for spec in specs]
     workers = min(len(jobs), usable_cpus())
-    if workers > 1:
-        outputs = _fit_in_processes(jobs, workers)
-    else:
-        outputs = [fit_and_predict(*job) for job in jobs]
+    outputs = _fit_in_processes(corpus, jobs, workers) if workers > 1 else [_fit_spans(*job, corpus) for job in jobs]
     values = []
-    for (_, val_pairs, _), scores in zip(specs, outputs):
-        truths = [steps_from_frames(labels, model_config.frames_per_step) for _, labels in val_pairs]
+    for (_, val_spans, _), scores in zip(specs, outputs):
+        truths = [steps_from_frames(corpus[i][1][a:b], model_config.frames_per_step) for i, a, b in val_spans]
         values.append(auprc(ScoredPredictions(np.concatenate(scores), np.concatenate(truths))))
     return values
 
@@ -205,25 +239,25 @@ def test1_contiguous_kfold(
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
     x = len(items)
-    if x < 1:
-        raise ConfigError("test1 needs a non-empty corpus")
+    if x < 2:
+        raise ConfigError("test1 needs at least 2 podcasts: with one, the held-out block is the whole file")
     rng = np.random.default_rng(seed)
     specs = []
     for iteration in range(iterations):
-        train_pairs, val_pairs = [], []
-        for item in items:
+        train_spans, val_spans = [], []
+        for index, item in enumerate(items):
             num_frames = item.features.shape[0]
             block = int(round(num_frames / x))
-            if block < 1 or block > num_frames:
+            if block < 1:
                 raise ConfigError(f"item {item.id!r}: cannot hold out {block} of {num_frames} frames")
             start = int(rng.integers(0, num_frames - block + 1))
-            val_pairs.append((item.features[start : start + block], item.frame_labels[start : start + block]))
+            val_spans.append((index, start, start + block))
             if start > 0:
-                train_pairs.append((item.features[:start], item.frame_labels[:start]))
+                train_spans.append((index, 0, start))
             if start + block < num_frames:
-                train_pairs.append((item.features[start + block :], item.frame_labels[start + block :]))
-        specs.append((train_pairs, val_pairs, fold_seed(seed, iteration)))
-    values = _fold_auprcs(specs, model_config, train_config)
+                train_spans.append((index, start + block, num_frames))
+        specs.append((train_spans, val_spans, fold_seed(seed, iteration)))
+    values = _fold_auprcs(items, specs, model_config, train_config)
     return ExperimentResult("test1", [str(i) for i in range(iterations)], values, seed)
 
 
@@ -236,15 +270,9 @@ def test2_leave_one_podcast(
     """Hold out each podcast in turn, training on the remaining ones."""
     if len(items) < 2:
         raise ConfigError("test2 needs at least 2 podcasts")
-    specs = [
-        (
-            [(item.features, item.frame_labels) for item in items[:index] + items[index + 1 :]],
-            [(held_out.features, held_out.frame_labels)],
-            fold_seed(seed, index),
-        )
-        for index, held_out in enumerate(items)
-    ]
-    values = _fold_auprcs(specs, model_config, train_config)
+    spans = [(index, 0, item.features.shape[0]) for index, item in enumerate(items)]
+    specs = [(spans[:index] + spans[index + 1 :], [span], fold_seed(seed, index)) for index, span in enumerate(spans)]
+    values = _fold_auprcs(items, specs, model_config, train_config)
     return ExperimentResult("test2", [item.id for item in items], values, seed)
 
 
@@ -261,15 +289,10 @@ def test3_leave_one_speaker(
     speakers = sorted({item.speaker_id for item in items})
     if len(speakers) < 2:
         raise ConfigError("test3 needs at least 2 speakers")
-    specs = [
-        (
-            [(item.features, item.frame_labels) for item in items if item.speaker_id != speaker],
-            [(item.features, item.frame_labels) for item in items if item.speaker_id == speaker],
-            fold_seed(seed, index),
-        )
-        for index, speaker in enumerate(speakers)
-    ]
-    values = _fold_auprcs(specs, model_config, train_config)
+    spans = [(index, 0, item.features.shape[0]) for index, item in enumerate(items)]
+    held_out = [[span for span, item in zip(spans, items) if item.speaker_id == speaker] for speaker in speakers]
+    specs = [([s for s in spans if s not in group], group, fold_seed(seed, i)) for i, group in enumerate(held_out)]
+    values = _fold_auprcs(items, specs, model_config, train_config)
     return ExperimentResult("test3", speakers, values, seed)
 
 

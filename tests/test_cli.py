@@ -386,6 +386,18 @@ def test_evaluate_fold_failures_exit_1_at_two_workers(tmp_path, monkeypatch, cap
     assert multiprocessing.active_children() == []
 
 
+def test_evaluate_test1_needs_two_podcasts(tmp_path, capsys):
+    # with one podcast the held-out block would be the whole file
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--seed", "1", "--real", "1", "--fake", "0",
+                 "--duration-ms", "40000"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--experiment", "test1", "--manifest", str(corpus / "manifest.csv"),
+                 "--epochs", "1", "--lstm-units", "4", "--out", str(tmp_path / "t1")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "test1 needs at least 2 podcasts" in err
+
+
 def test_evaluate_pipeline_needs_a_detector(tmp_path, news_dir, capsys):
     rc = main(["evaluate", "--experiment", "pipeline",
                "--manifest", str(news_dir / "manifest.csv"), "--out", str(tmp_path / "x")])

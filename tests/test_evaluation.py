@@ -7,6 +7,7 @@ import os
 import shutil
 import struct
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -17,7 +18,7 @@ import pytest
 from breathline.annotations import BreathIntervalSet
 from breathline.audio_io import AudioBuffer, write_wav
 from breathline.breath_stats import compute_stats
-from breathline.errors import ConfigError, FormatError, InputError, TrainingError, ValidationError
+from breathline.errors import BreathlineError, ConfigError, FormatError, InputError, TrainingError, ValidationError
 from breathline import evaluation, features, postprocess
 from breathline.evaluation import (
     ExperimentResult,
@@ -147,17 +148,19 @@ def mixed_blas_env(monkeypatch):
 
 
 def test_fold_results_do_not_depend_on_worker_count(frame_corpus, monkeypatch, mixed_blas_env):
-    results = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
-        results[cpus] = json.dumps([
-            contiguous_kfold(frame_corpus, FAST_MODEL, FAST_TRAIN, iterations=3, seed=5).to_dict(),
-            leave_one_podcast(frame_corpus, FAST_MODEL, FAST_TRAIN, seed=1).to_dict(),
-            leave_one_speaker(frame_corpus, FAST_MODEL, FAST_TRAIN, seed=3).to_dict(),
-        ])
-        assert multiprocessing.active_children() == []
-        assert _blas_vars() == mixed_blas_env
-    assert results[1] == results[2]
+    for dtype in (np.float32, np.float64):
+        items = [dataclasses.replace(item, features=item.features.astype(dtype)) for item in frame_corpus]
+        results = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+            results[cpus] = json.dumps([
+                contiguous_kfold(items, FAST_MODEL, FAST_TRAIN, iterations=3, seed=5).to_dict(),
+                leave_one_podcast(items, FAST_MODEL, FAST_TRAIN, seed=1).to_dict(),
+                leave_one_speaker(items, FAST_MODEL, FAST_TRAIN, seed=3).to_dict(),
+            ])
+            assert multiprocessing.active_children() == []
+            assert _blas_vars() == mixed_blas_env
+        assert results[1] == results[2], dtype
 
 
 def test_single_threaded_blas_restores_the_environment(mixed_blas_env):
@@ -179,6 +182,10 @@ def test_fold_errors_keep_their_type_across_processes(frame_corpus, monkeypatch)
     assert multiprocessing.active_children() == []
 
 
+def _constant_scores(train_pairs, val_features, model_config, train_config, seed):
+    return [np.full(-(-len(features) // model_config.frames_per_step), 0.5) for features in val_features]
+
+
 def _fail_first_fold(train_pairs, val_features, model_config, train_config, seed):
     # every other fold leaves a mark in $FOLD_MARKS and takes a while
     if seed == fold_seed(0, 0):
@@ -186,7 +193,77 @@ def _fail_first_fold(train_pairs, val_features, model_config, train_config, seed
     time.sleep(0.5)
     with open(os.path.join(os.environ["FOLD_MARKS"], str(seed)), "w"):
         pass
-    return [np.full(-(-len(features) // model_config.frames_per_step), 0.5) for features in val_features]
+    return _constant_scores(train_pairs, val_features, model_config, train_config, seed)
+
+
+def test_fold_jobs_do_not_copy_the_corpus(frame_corpus, monkeypatch):
+    # the workers map one corpus file, so the calling process holds no pickled job
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(evaluation, "fit_and_predict", _constant_scores)
+    corpus_bytes = sum(item.features.nbytes + item.frame_labels.nbytes for item in frame_corpus)
+    tracemalloc.start()
+    try:
+        result = leave_one_podcast(frame_corpus, FAST_MODEL, FAST_TRAIN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.values) == len(frame_corpus)
+    assert peak < corpus_bytes / 4 + 2**20, (peak, corpus_bytes)
+
+
+def _received_arrays(train_pairs, val_features, model_config, train_config, seed):
+    return [np.array(a) for pair in train_pairs for a in pair] + [np.array(f) for f in val_features]
+
+
+def test_fold_workers_see_each_span_bit_for_bit(frame_corpus):
+    # float64 features that float32 cannot hold, beside float32 features and bool labels
+    rng = np.random.default_rng(0)
+    corpus = [(item.features, item.frame_labels) for item in frame_corpus]
+    corpus.append((rng.normal(size=(50, 3)), rng.uniform(size=50) < 0.5))
+    specs = [([(0, 0, 100), (3, 10, 50)], [(1, 5, 60), (3, 0, 50)], 1), ([(2, 0, 8000)], [(3, 49, 50)], 2)]
+    jobs = [(_received_arrays, spec, FAST_MODEL, FAST_TRAIN) for spec in specs]
+    for inline, mapped in zip([evaluation._fit_spans(*job, corpus) for job in jobs],
+                              evaluation._fit_in_processes(corpus, jobs, 2)):
+        assert [(a.dtype, a.shape, a.tobytes()) for a in inline] == [(a.dtype, a.shape, a.tobytes()) for a in mapped]
+    assert inline[-1].dtype == np.float64 and inline[-1].shape == (1, 3)
+    assert multiprocessing.active_children() == []
+
+
+def _count_temp_files(train_pairs, val_features, model_config, train_config, seed):
+    # a running fold notes how many files the calling process's temp dir holds
+    count = sum(len(files) for _, _, files in os.walk(os.environ["FOLD_TEMP"]))
+    with open(os.path.join(os.environ["FOLD_MARKS"], str(seed)), "w") as f:
+        f.write(str(count))
+    return _constant_scores(train_pairs, val_features, model_config, train_config, seed)
+
+
+def _exit_abruptly(*job):
+    os._exit(3)
+
+
+@pytest.mark.parametrize("fit, error", [
+    (_count_temp_files, None),
+    (_fail_first_fold, "first fold failed"),
+    (_exit_abruptly, "ended abruptly"),
+])
+def test_fold_workers_leave_no_file_or_process(frame_corpus, monkeypatch, tmp_path, fit, error):
+    temp, marks = tmp_path / "temp", tmp_path / "marks"
+    temp.mkdir()
+    marks.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.setenv("FOLD_TEMP", str(temp))
+    monkeypatch.setenv("FOLD_MARKS", str(marks))
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(evaluation, "fit_and_predict", fit)
+    if error is None:
+        leave_one_podcast(frame_corpus, FAST_MODEL, FAST_TRAIN)
+        # the corpus file was there while the folds ran
+        assert [int((marks / name).read_text()) for name in sorted(os.listdir(marks))] == [1] * len(frame_corpus)
+    else:
+        with pytest.raises(BreathlineError, match=error):
+            leave_one_podcast(frame_corpus, FAST_MODEL, FAST_TRAIN)
+    assert list(temp.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_first_failing_fold_cancels_the_pending_ones(frame_corpus, monkeypatch, tmp_path):
