@@ -362,7 +362,7 @@ def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
                     seg[a - lo : b - lo] = x[a:b]
             item = seg.strides[0]
             windows = as_strided(seg, shape=(r1 - r0, width), strides=(stride * item, item), writeable=False)
-            out[r0:r1, c0:c1] = np.ascontiguousarray(windows) @ taps_matrix
+            np.matmul(windows, taps_matrix, out=out[r0:r1, c0:c1])
     return out.reshape(-1)[:n_out]
 
 

@@ -28,7 +28,12 @@ import sys
 import math
 import time
 
-import numpy as np
+# one BLAS thread for each thread and fold worker of the package, unless the
+# caller chose a count: BLAS and OpenMP read these once, as numpy loads
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .annotations import save_annotations

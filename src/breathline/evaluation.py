@@ -5,7 +5,8 @@ Three frame-level tests probe how the breath detector generalizes:
 per-podcast held-out blocks (test1), leave-one-podcast-out (test2), and
 leave-one-speaker-out (test3). Every fold retrains from a fresh
 seed-derived initialization, and a test's folds run side by side in
-spawned worker processes, one per usable CPU. `detect_manifest` is the
+worker processes forked from the calling one, one per usable CPU, which
+share its corpus pages. `detect_manifest` is the
 one path from a manifest's audio to breath intervals and statistics;
 the pipeline evaluation scores those statistics with a sample
 classifier over an outlet-disjoint train/test split.
@@ -14,15 +15,11 @@ classifier over an outlet-disjoint train/test split.
 from __future__ import annotations
 
 import collections
-import contextlib
 import dataclasses
 import hashlib
 import json
-import math
-import mmap
 import multiprocessing
 import os
-import tempfile
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -134,40 +131,11 @@ Span = tuple[int, int, int]
 # one fold of a frame test: (training spans, validation spans, fold seed)
 FoldSpec = tuple[list[Span], list[Span], int]
 
-# BLAS and OpenMP read these when numpy loads in a new process
-BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# a fold worker's corpus, (features, frame labels) per item, set as it starts
+_worker_corpus: list[tuple[np.ndarray, np.ndarray]] = []
 
 
-@contextlib.contextmanager
-def _single_threaded_blas():
-    """Set BLAS_THREAD_VARS to 1 inside the block, then restore each one,
-    unset ones included."""
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
-# a fold worker's corpus, (features, frame labels) per item, filled by `_map_corpus`
-_mapped_corpus: list[tuple[np.ndarray, np.ndarray]] = []
-
-
-def _map_corpus(path, layout: list[tuple[int, str, tuple]]) -> None:
-    """Fold worker initializer: map the corpus file read-only, given the
-    (offset, dtype, shape) of each array, features and labels in turn."""
-    with open(path, "rb") as f:
-        buffer = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    arrays = [np.frombuffer(buffer, dtype, math.prod(shape), offset).reshape(shape) for offset, dtype, shape in layout]
-    _mapped_corpus[:] = zip(arrays[0::2], arrays[1::2])
-
-
-def _fit_spans(fit, spec: FoldSpec, model_config: ModelConfig, train_config: TrainConfig, corpus=_mapped_corpus):
+def _fit_spans(fit, spec: FoldSpec, model_config: ModelConfig, train_config: TrainConfig, corpus=_worker_corpus):
     """`fit` (`fit_and_predict`'s signature) on the frames that a fold
     spec's spans cut from `corpus`, by default this fold worker's."""
     train_spans, val_spans, seed = spec
@@ -176,33 +144,21 @@ def _fit_spans(fit, spec: FoldSpec, model_config: ModelConfig, train_config: Tra
 
 
 def _fit_in_processes(corpus: list[tuple[np.ndarray, np.ndarray]], jobs: list[tuple], workers: int) -> list:
-    """`_fit_spans(*job)` for every job on `workers` spawned processes
-    with single-threaded BLAS, in job order. The corpus arrays are written
-    once, each in its own dtype, to a temporary file that every worker
-    maps read-only, so a job carries only spans. The first failure in job
-    order is raised and the jobs not yet started are cancelled."""
-    with tempfile.TemporaryDirectory() as folder:
-        path, layout = os.path.join(folder, "corpus"), []
-        with open(path, "wb") as f:
-            for array in map(np.ascontiguousarray, [array for pair in corpus for array in pair]):
-                f.write(bytes(-f.tell() % 64))  # each array starts on a 64-byte boundary
-                layout.append((f.tell(), array.dtype.str, array.shape))
-                f.write(array.data)
-        spawn = multiprocessing.get_context("spawn")
-        pool = ProcessPoolExecutor(workers, mp_context=spawn, initializer=_map_corpus, initargs=(path, layout))
-        try:
-            # with spawn, `submit` starts the processes, which read the
-            # thread variables as they start
-            with _single_threaded_blas():
-                futures = [pool.submit(_fit_spans, *job) for job in jobs]
-            return [future.result() for future in futures]
-        except BrokenProcessPool as exc:
-            raise BreathlineError(
-                "a fold worker process ended abruptly: it was killed, or a script runs the "
-                "experiments without an `if __name__ == '__main__':` guard"
-            ) from exc
-        finally:
-            pool.shutdown(cancel_futures=True)
+    """`_fit_spans(*job)` for every job on `workers` forked processes, in
+    job order. A forked worker inherits the loaded modules and the corpus
+    arrays (the initializer's arguments are not pickled), so a job carries
+    only spans. The first failure in job order is raised and the jobs not
+    yet started are cancelled."""
+    fork = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_worker_corpus.extend, initargs=(corpus,))
+    try:
+        # the first `submit` forks every worker, before the pool starts its own threads
+        futures = [pool.submit(_fit_spans, *job) for job in jobs]
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        raise BreathlineError("a fold worker process ended abruptly: it was killed or ran out of memory") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _fold_auprcs(
@@ -212,7 +168,7 @@ def _fold_auprcs(
 
     Each fold trains a fresh detector (`fit_and_predict`) with its own
     seed on the spans its spec cuts from `items`. The folds run inline
-    with one usable CPU, else on up to one spawned process per usable
+    with one usable CPU, else on up to one forked process per usable
     CPU; a fold's result depends only on its spec, so the values do not
     depend on the worker count."""
     corpus = [(item.features, item.frame_labels) for item in items]

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import multiprocessing
 import os
 import platform
@@ -12,6 +13,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -315,10 +317,14 @@ def _nan_float_wav(path):
     (lambda path: write_wav(path, AudioBuffer(np.zeros(0), 16000)), "total_duration_ms must be positive"),
     (lambda path: write_wav(path, AudioBuffer(np.full(100, 0.1), 16000)), None),
     (_nan_float_wav, "non-finite sample values"),
-], ids=["empty", "shorter than one window", "nan"])
-def test_detect_degenerate_audio(tmp_path, podcast_dir, detector, capsys, write, error):
+    (lambda path: write_wav(path, AudioBuffer(np.zeros(48000), 16000)), None),
+    (lambda path: write_wav(path, AudioBuffer(np.full(48000, 0.5), 16000)), None),
+    (lambda path: write_wav(path, AudioBuffer(np.where(np.arange(48000) // 50 % 2, 1.0, -1.0), 16000)), None),
+], ids=["empty", "shorter than one window", "nan", "3 s of silence", "3 s of DC offset", "3 s of square wave"])
+def test_detect_degenerate_audio(tmp_path, podcast_dir, detector, capsys, request, write, error):
     """An empty or NaN WAV is a per-file error; audio shorter than one
-    20 ms window has 0 breaths. Neither prints a traceback."""
+    20 ms window has 0 breaths; silence, a DC offset and a full-scale
+    square wave give finite statistics. None prints a traceback."""
     _, model_path = detector
     corpus = tmp_path / "corpus"
     shutil.copytree(podcast_dir, corpus)
@@ -331,7 +337,9 @@ def test_detect_degenerate_audio(tmp_path, podcast_dir, detector, capsys, write,
     rows = {r["id"]: r for r in _read_stats(out / "stats.csv")}
     if error is None:
         assert report["errors"] == {} and "real-0002" in report["ok"]
-        assert (rows["real-0002"]["bpm"], rows["real-0002"]["avg_duration_ms"]) == ("0", "0")
+        assert all(math.isfinite(float(value)) for key, value in rows["real-0002"].items() if key not in ("id", "label"))
+        if request.node.callspec.id == "shorter than one window":
+            assert (rows["real-0002"]["bpm"], rows["real-0002"]["avg_duration_ms"]) == ("0", "0")
     else:
         assert list(report["errors"]) == ["real-0002"] and error in report["errors"]["real-0002"]
         assert "real-0002" not in rows
@@ -361,6 +369,59 @@ def test_evaluate_folds_are_identical_at_one_and_two_workers(tmp_path, podcast_d
         digests[cpus] = _digests(out)
     assert "experiment_test2.json" in digests[1]
     assert digests[1] == digests[2]
+
+
+# threading.active_count() at each fork of this process while `_recording_forks` is set
+_fork_thread_counts = []
+_recording_forks = threading.Event()
+
+
+def _record_fork():
+    if _recording_forks.is_set():
+        _fork_thread_counts.append(threading.active_count())
+
+
+os.register_at_fork(before=_record_fork)
+
+
+def test_fold_workers_fork_from_a_single_threaded_process(tmp_path, podcast_dir, monkeypatch):
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    _fork_thread_counts.clear()
+    _recording_forks.set()
+    try:
+        assert main(["evaluate", "--experiment", "test2", "--manifest", str(podcast_dir / "manifest.csv"),
+                     "--epochs", "1", "--lstm-units", "4", "--out", str(tmp_path / "out")]) == 0
+    finally:
+        _recording_forks.clear()
+    assert _fork_thread_counts == [1, 1]
+
+
+# prints the BLAS thread variables as numpy starts to load under `import breathline.cli`
+BLAS_AT_NUMPY_IMPORT = """
+import os, sys
+
+class NumpyWatch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print([os.environ.get(v) for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")])
+            sys.meta_path.remove(self)
+
+sys.meta_path.insert(0, NumpyWatch())
+import breathline.cli
+"""
+
+
+def test_the_cli_pins_blas_to_one_thread_unless_the_caller_chose():
+    variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in variables}
+    env["PYTHONPATH"] = str(Path(breathline.__file__).resolve().parents[1])
+    for chosen, expected in ((None, ["1", "1", "1"]), ("2", ["1", "2", "1"])):
+        if chosen is not None:
+            env["OPENBLAS_NUM_THREADS"] = chosen
+        proc = subprocess.run([sys.executable, "-c", BLAS_AT_NUMPY_IMPORT], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{expected}\n"
 
 
 def _exit_abruptly(*job):

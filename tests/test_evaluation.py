@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import shutil
 import struct
+import subprocess
 import sys
 import tempfile
 import threading
@@ -134,20 +135,7 @@ def test_test2_duplicate_podcast_scores_at_least_mean(frame_corpus):
     assert twin_value >= result.mean - 1e-12
 
 
-def _blas_vars():
-    return {name: os.environ.get(name) for name in evaluation.BLAS_THREAD_VARS}
-
-
-@pytest.fixture
-def mixed_blas_env(monkeypatch):
-    """One thread variable set, the others unset."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    return _blas_vars()
-
-
-def test_fold_results_do_not_depend_on_worker_count(frame_corpus, monkeypatch, mixed_blas_env):
+def test_fold_results_do_not_depend_on_worker_count(frame_corpus, monkeypatch):
     for dtype in (np.float32, np.float64):
         items = [dataclasses.replace(item, features=item.features.astype(dtype)) for item in frame_corpus]
         results = {}
@@ -159,17 +147,7 @@ def test_fold_results_do_not_depend_on_worker_count(frame_corpus, monkeypatch, m
                 leave_one_speaker(items, FAST_MODEL, FAST_TRAIN, seed=3).to_dict(),
             ])
             assert multiprocessing.active_children() == []
-            assert _blas_vars() == mixed_blas_env
         assert results[1] == results[2], dtype
-
-
-def test_single_threaded_blas_restores_the_environment(mixed_blas_env):
-    with evaluation._single_threaded_blas():
-        assert set(_blas_vars().values()) == {"1"}
-    assert _blas_vars() == mixed_blas_env
-    with pytest.raises(KeyError), evaluation._single_threaded_blas():
-        raise KeyError("inside")
-    assert _blas_vars() == mixed_blas_env
 
 
 def test_fold_errors_keep_their_type_across_processes(frame_corpus, monkeypatch):
@@ -197,7 +175,7 @@ def _fail_first_fold(train_pairs, val_features, model_config, train_config, seed
 
 
 def test_fold_jobs_do_not_copy_the_corpus(frame_corpus, monkeypatch):
-    # the workers map one corpus file, so the calling process holds no pickled job
+    # forked workers inherit the corpus, so the calling process holds no pickled job
     monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
     monkeypatch.setattr(evaluation, "fit_and_predict", _constant_scores)
     corpus_bytes = sum(item.features.nbytes + item.frame_labels.nbytes for item in frame_corpus)
@@ -257,13 +235,39 @@ def test_fold_workers_leave_no_file_or_process(frame_corpus, monkeypatch, tmp_pa
     monkeypatch.setattr(evaluation, "fit_and_predict", fit)
     if error is None:
         leave_one_podcast(frame_corpus, FAST_MODEL, FAST_TRAIN)
-        # the corpus file was there while the folds ran
-        assert [int((marks / name).read_text()) for name in sorted(os.listdir(marks))] == [1] * len(frame_corpus)
+        # no temporary file appeared while the folds ran
+        assert [int((marks / name).read_text()) for name in sorted(os.listdir(marks))] == [0] * len(frame_corpus)
     else:
         with pytest.raises(BreathlineError, match=error):
             leave_one_podcast(frame_corpus, FAST_MODEL, FAST_TRAIN)
     assert list(temp.iterdir()) == []
     assert multiprocessing.active_children() == []
+
+
+NO_GUARD_SCRIPT = """
+import numpy as np
+from breathline import evaluation
+from breathline.evaluation import CorpusItem, test2_leave_one_podcast
+from breathline.nn import ModelConfig, TrainConfig
+
+evaluation.usable_cpus = lambda: 2
+rng = np.random.default_rng(0)
+labels = np.arange(1600) // 100 % 3 == 0
+items = [CorpusItem(f"pod-{i}", rng.normal(size=(1600, 130)).astype(np.float32), labels) for i in range(2)]
+result = test2_leave_one_podcast(items, ModelConfig(lstm_units=4, seed=0), TrainConfig(epochs=1, seed=0))
+print(result.fold_labels)
+"""
+
+
+def test_a_script_without_a_main_guard_runs_the_folds_on_workers(tmp_path):
+    # forked workers run no part of the calling script again
+    script = tmp_path / "folds.py"
+    script.write_text(NO_GUARD_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(evaluation.__file__)))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['pod-0', 'pod-1']\n"
 
 
 def test_first_failing_fold_cancels_the_pending_ones(frame_corpus, monkeypatch, tmp_path):
