@@ -20,6 +20,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -133,6 +134,28 @@ FoldSpec = tuple[list[Span], list[Span], int]
 
 # a fold worker's corpus, (features, frame labels) per item, set as it starts
 _worker_corpus: list[tuple[np.ndarray, np.ndarray]] = []
+# Linux's prctl option that names the signal a process gets when its parent ends
+PR_SET_PDEATHSIG = 1
+
+
+def _start_fold_worker(corpus: list[tuple[np.ndarray, np.ndarray]], parent: int) -> None:
+    """A fold worker's pool initializer: ask the kernel for SIGKILL when
+    the thread that forked this worker ends (a no-op where there is no
+    `prctl`), end at once if the process `parent` has already ended, and
+    take the corpus. Without this, a worker whose parent is killed waits
+    for further jobs forever."""
+    import ctypes
+
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (AttributeError, OSError, TypeError):
+        pass
+    else:
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
+    _worker_corpus.extend(corpus)
 
 
 def _fit_spans(fit, spec: FoldSpec, model_config: ModelConfig, train_config: TrainConfig, corpus=_worker_corpus):
@@ -148,9 +171,11 @@ def _fit_in_processes(corpus: list[tuple[np.ndarray, np.ndarray]], jobs: list[tu
     job order. A forked worker inherits the loaded modules and the corpus
     arrays (the initializer's arguments are not pickled), so a job carries
     only spans. The first failure in job order is raised and the jobs not
-    yet started are cancelled."""
+    yet started are cancelled. The workers end with the calling thread."""
     fork = multiprocessing.get_context("fork")
-    pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_worker_corpus.extend, initargs=(corpus,))
+    pool = ProcessPoolExecutor(
+        workers, mp_context=fork, initializer=_start_fold_worker, initargs=(corpus, os.getpid())
+    )
     try:
         # the first `submit` forks every worker, before the pool starts its own threads
         futures = [pool.submit(_fit_spans, *job) for job in jobs]

@@ -1,6 +1,7 @@
 """Minimal neural network stack for the framewise breath detector.
 
-Everything runs on float64 numpy arrays shaped (batch, time, channels).
+Everything runs on float64 numpy arrays shaped (batch, time, channels),
+with numpy alone: `layers.expit` gives the bits of scipy's sigmoid.
 Layers cache activations only during training forwards; an inference
 forward caches nothing on the layer. The BiLSTM runs both
 directions in one time loop on stacked weights, MaxPool1D works on

@@ -9,14 +9,49 @@ gradients, and returns the gradient with respect to the input.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import expit
 
 from ..errors import ConfigError, ShapeError, TrainingError
 
 # BatchNorm1D's variance floor and running-estimate momentum
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
+# glibc's cexp(v + 0j) is its exp(v) for v up to 709; above, it rescales
+EXACT_CEXP_MAX = 709.0
+
+
+def expit(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-x)), computed so that every
+    value has the same bits as `scipy.special.expit`, which is that formula
+    with glibc's `exp`. numpy's real `exp` rounds differently on some
+    inputs; its complex `exp` calls glibc's `cexp`, which for a real
+    argument up to EXACT_CEXP_MAX returns glibc's `exp`. The elements past
+    that (x < -709, or NaN) take `math.exp`, glibc's `exp` as well.
+
+    `scratch`, a complex128 array of x's shape whose imaginary part is
+    zero, saves an allocation per call; it is left with that part zero."""
+    if scratch is None:
+        scratch = np.zeros(x.shape, dtype=np.complex128)
+    e = np.negative(x, out=scratch.real)
+    rare = None
+    # `minimum` propagates NaN, so a NaN takes this path too
+    if x.size and not np.minimum.reduce(x, axis=None) >= -EXACT_CEXP_MAX:
+        rare = ~(x >= -EXACT_CEXP_MAX)
+        e[rare] = 0.0  # no overflow in cexp, so its imaginary parts stay zero
+    np.exp(scratch, out=scratch)
+    if rare is not None:
+        e[rare] = [_exp(-v) for v in x[rare].tolist()]
+    e += 1.0
+    return np.divide(1.0, e, out=out)
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 class Layer:

@@ -13,10 +13,9 @@ inference forward caches nothing on the layer.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import ShapeError
-from .layers import Layer, glorot_uniform
+from .layers import Layer, expit, glorot_uniform
 
 
 class BiLSTM(Layer):
@@ -76,15 +75,18 @@ class BiLSTM(Layer):
         hs = np.zeros((time + 1, 2, batch, u))
         cs = np.zeros((time + 1, 2, batch, u))
         tanh_cs = np.empty((time, 2, batch, u))
-        hw, ig = np.empty((2, batch, 4 * u)), np.empty((2, batch, u))
+        hw, ig, tanh_g = np.empty((2, batch, 4 * u)), np.empty((2, batch, u)), np.empty((2, batch, u))
+        gates = np.zeros((2, batch, 4 * u), dtype=np.complex128)  # expit's scratch
         for s in range(time):
             z = zs[s]
             i, f, g, o = (z[..., n * u : (n + 1) * u] for n in range(4))
             z += np.matmul(hs[s], self.wh, out=hw)
             z += self.b[:, None]
-            expit(z[..., : 2 * u], out=z[..., : 2 * u])
-            np.tanh(g, out=g)
-            expit(o, out=o)
+            # one expit over all four gates: two over the sigmoid gates alone
+            # were no faster
+            np.tanh(g, out=tanh_g)
+            expit(z, out=z, scratch=gates)
+            g[...] = tanh_g
             c = cs[s + 1]
             np.multiply(f, cs[s], out=c)
             c += np.multiply(i, g, out=ig)

@@ -424,6 +424,33 @@ def test_the_cli_pins_blas_to_one_thread_unless_the_caller_chose():
         assert proc.stdout == f"{expected}\n"
 
 
+NO_SCIPY_RUN = """
+import sys
+
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from breathline.cli import main
+
+out = sys.argv[1]
+manifest = out + "/corpus/manifest.csv"
+runs = [
+    ["synth", "--out", out + "/corpus", "--seed", "1", "--real", "3", "--fake", "0", "--duration-ms", "8000",
+     "--speakers", "2"],
+    ["train-breath", "--manifest", manifest, "--epochs", "1", "--out", out + "/detector"],
+    ["detect", "--manifest", manifest, "--model", out + "/detector/model.bin", "--out", out + "/detect"],
+    ["evaluate", "--experiment", "test2", "--epochs", "1", "--manifest", manifest, "--out", out + "/test2"],
+]
+print("exit codes", [main(argv) for argv in runs])
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(breathline.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)], capture_output=True, text=True,
+                          env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0, 0]", proc.stderr
+
+
 def _exit_abruptly(*job):
     os._exit(3)
 

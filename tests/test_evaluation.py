@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -268,6 +269,58 @@ def test_a_script_without_a_main_guard_runs_the_folds_on_workers(tmp_path):
                           cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['pod-0', 'pod-1']\n"
+
+
+KILLED_CLI_SCRIPT = """
+import sys
+from breathline import cli, evaluation
+
+evaluation.usable_cpus = lambda: 2
+cli.main(["evaluate", "--experiment", "test2", "--epochs", "500", "--manifest", sys.argv[1], "--out", sys.argv[2]])
+"""
+
+
+def _proc_stat(pid: int) -> list[str]:
+    """/proc/<pid>/stat's fields after the command name (state, ppid, ...);
+    empty for a pid that is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return []
+
+
+def _running(pid: int) -> bool:
+    return _proc_stat(pid)[:1] not in ([], ["Z"])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads processes from /proc")
+def test_fold_workers_end_with_a_killed_cli(podcast_dir, tmp_path):
+    script = tmp_path / "killed.py"
+    script.write_text(KILLED_CLI_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(evaluation.__file__)))
+    cli = subprocess.Popen([sys.executable, str(script), str(podcast_dir / "manifest.csv"), str(tmp_path / "out")],
+                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        start = time.monotonic()
+        while len(workers) < 2 and cli.poll() is None and time.monotonic() - start < 60:
+            time.sleep(0.05)
+            pids = (int(name) for name in os.listdir("/proc") if name.isdigit())
+            workers = [pid for pid in pids if _proc_stat(pid)[1:2] == [str(cli.pid)]]
+        assert len(workers) == 2
+        time.sleep(max(0.0, start + 1.0 - time.monotonic()))
+        cli.kill()
+        cli.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in workers if _running(pid)] == []
+    finally:
+        cli.kill()
+        cli.wait()
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_first_failing_fold_cancels_the_pending_ones(frame_corpus, monkeypatch, tmp_path):

@@ -1,9 +1,11 @@
 """Layer-level forward conventions and finite-difference gradient checks."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit as scipy_expit
 from oracles import LoopBiLSTM, TwoPassBatchNorm, WindowMaxPool, central_difference
 
 from breathline.errors import TrainingError
@@ -17,6 +19,7 @@ from breathline.nn.layers import (
     ReLU,
     Sigmoid,
     TimeDense,
+    expit,
 )
 from breathline.nn.optim import Adam
 from breathline.nn.recurrent import BiLSTM
@@ -246,6 +249,45 @@ def test_relu_and_sigmoid():
     y = sig.forward(np.array([[[0.3]]]), training=True)
     grad = sig.backward(np.ones((1, 1, 1)))
     np.testing.assert_allclose(grad, y * (1.0 - y), rtol=1e-12)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_expit_is_scipy_expit_bit_for_bit():
+    rng = np.random.default_rng(0)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001],
+                    dtype=np.uint64).view(np.float64)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, *nans])
+    samples = {
+        "normal": rng.normal(0.0, 3.0, 200_000),
+        "uniform": rng.uniform(-760.0, 760.0, 200_000),
+        # across glibc cexp's rescale point (x = -709) and exp's overflow (x = -709.78)
+        "rescale": np.linspace(-712.0, -705.0, 200_001),
+        "special": special,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # scipy's expit warns on none of these
+        for name, x in samples.items():
+            assert np.array_equal(_bits(expit(x)), _bits(scipy_expit(x))), name
+
+    x = samples["uniform"][:2560].reshape(64, 40)
+    x[::5, ::3] = special[np.arange(x[::5, ::3].size) % special.size].reshape(x[::5, ::3].shape)
+    # strided input and output
+    out = np.full((64, 40), 7.0)
+    odd = out[:, 1::2]
+    assert expit(x[:, ::2], out=odd) is odd
+    assert np.array_equal(_bits(odd), _bits(scipy_expit(x[:, ::2])))
+    assert (out[:, ::2] == 7.0).all()
+    # in place, with a scratch reused across calls
+    scratch = np.zeros(x.shape, dtype=np.complex128)
+    for _ in range(2):
+        y = x.copy()
+        assert expit(y, out=y, scratch=scratch) is y
+        assert np.array_equal(_bits(y), _bits(scipy_expit(x)))
+        assert (scratch.imag == 0.0).all()
+    assert expit(np.empty((0, 3))).shape == (0, 3)
 
 
 def test_bilstm_shapes_and_gradients():
