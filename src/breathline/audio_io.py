@@ -5,8 +5,8 @@ rate; files are converted on ingest. The RIFF parser, `open_wav`, is
 deliberately hand-rolled so that unsupported encodings are rejected with
 a message naming the encoding instead of being silently mangled. It
 gives a `WavSource`, whose spans are read from the file as needed;
-`load_wav` reads one whole into an `AudioBuffer`. Both have
-`read(lo, hi)`, so feature extraction takes either.
+`load_wav` reads one whole into an `AudioBuffer`. Both have `read(lo, hi)`,
+so feature extraction takes either; `open_canonical` gives either at 16 kHz.
 """
 
 from __future__ import annotations
@@ -253,6 +253,16 @@ def load_wav(path) -> AudioBuffer:
     """
     with open_wav(path) as source:
         return AudioBuffer(source.read(0, source.num_samples), source.sample_rate)
+
+
+def open_canonical(path) -> WavSource | AudioBuffer:
+    """A WAV file's audio at CANONICAL_RATE from one open, to be closed: a
+    16 kHz file's `WavSource`, else its samples read whole and resampled."""
+    source = open_wav(path)
+    if source.sample_rate == CANONICAL_RATE:
+        return source
+    with source:
+        return resample(AudioBuffer(source.read(0, source.num_samples), source.sample_rate), CANONICAL_RATE)
 
 
 def write_wav(path, buffer: AudioBuffer, encoding: str = "float32") -> None:

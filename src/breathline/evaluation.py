@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .annotations import BreathIntervalSet, frames_from_intervals, load_annotations, steps_from_frames
-from .audio_io import CANONICAL_RATE, AudioBuffer, load_wav, open_wav, resample
+from .audio_io import open_canonical
 from .breath_stats import BreathStats, compute_stats
 from .classifiers import (
     LabeledSample,
@@ -323,14 +323,6 @@ def outlet_disjoint_split(entries: list[ManifestEntry], seed: int = 0) -> SplitP
     )
 
 
-def _canonical_audio(path) -> AudioBuffer:
-    """A WAV file's audio at CANONICAL_RATE, read whole."""
-    audio = load_wav(path)
-    if audio.sample_rate != CANONICAL_RATE:
-        audio = resample(audio, CANONICAL_RATE)
-    return audio
-
-
 DetectionRow = tuple[ManifestEntry, BreathIntervalSet, BreathStats]
 
 
@@ -341,9 +333,8 @@ def detect_manifest(
 
     Sources are resolved relative to the manifest's directory. A pool of
     `usable_cpus()` threads, the caller among them (with one CPU, the
-    caller alone), takes tasks in manifest order: open a file (a 16 kHz
-    file stays on disk and is read span by span; any other is read and
-    resampled whole), or run one piece of an open file's `DetectionJob`.
+    caller alone), takes tasks in manifest order: open a file
+    (`open_canonical`), or run one piece of an open file's `DetectionJob`.
     Pieces go first, the earliest first, so a file is opened only when no
     piece waits; the thread that ends a unit's last piece runs its batch,
     and the thread that ends a file's last task finishes the file. The
@@ -375,11 +366,7 @@ def detect_manifest(
             return None
 
     def open_job(entry: ManifestEntry) -> DetectionJob:
-        path = os.path.join(base, entry.source)
-        audio = open_wav(path)  # at CANONICAL_RATE, read span by span
-        if audio.sample_rate != CANONICAL_RATE:
-            audio.close()
-            audio = _canonical_audio(path)
+        audio = open_canonical(os.path.join(base, entry.source))
         try:
             return DetectionJob(model, audio, detection_config)
         except BaseException:
@@ -543,15 +530,19 @@ def load_frame_corpus(manifest_path, feature_config: FeatureConfig = FeatureConf
     in manifest order.
 
     Sources and annotation paths are resolved relative to the manifest's
-    directory. Every entry needs an annotation file.
+    directory. Every entry needs an annotation file. Each file is read by
+    `open_canonical` (at 16 kHz span by span) and closed on every path.
     """
     base = os.path.dirname(os.fspath(manifest_path))
     items = []
     for entry in load_manifest(manifest_path):
         if entry.annotation_path is None:
             raise InputError(f"manifest entry {entry.id!r} has no annotation_path")
-        audio = _canonical_audio(os.path.join(base, entry.source))
-        features = extract_features(audio, feature_config)
+        audio = open_canonical(os.path.join(base, entry.source))
+        try:
+            features = extract_features(audio, feature_config)
+        finally:
+            audio.close()
         intervals = load_annotations(os.path.join(base, entry.annotation_path), audio.duration_ms)
         frame_labels = frames_from_intervals(
             intervals, feature_config.window_ms, feature_config.hop_ms, features.num_frames

@@ -10,14 +10,13 @@ math runs in float64; the stored rows are float32.
 name, with one `_MelScratch`: about 1.8 MiB at the defaults, plus the
 1 MiB complex spectrum the FFT returns per block. Each block's samples
 come from `read(lo, hi)` of its audio: a slice of an `AudioBuffer`, or
-just those samples read from an open WAV file (`audio_io.WavSource`).
-Detection runs it on one piece of a `predict_file` batch's frames at a
-time (`postprocess.DetectionJob`), so a 16 kHz file is never read whole.
-`extract_features`, for training and the frame experiments, fills a
-whole-file matrix in contiguous shares of blocks, one per usable CPU: the
-caller builds every share's scratch (so the cached window and filterbank
-exist before a helper starts), runs share 0 and starts one helper thread
-per other share. With one usable CPU no thread is started.
+just those samples read from an open WAV file (`audio_io.WavSource`), so
+neither detection nor training reads a 16 kHz file whole. Detection runs
+it on one piece of a `predict_file` batch's frames at a time
+(`postprocess.DetectionJob`). `extract_features`, for training and the
+frame experiments, fills a whole-file matrix in contiguous shares of
+blocks, one per usable CPU: the caller runs share 0 and starts one helper
+thread per other share (none with one usable CPU).
 
 A frame's features are the same bytes in any block, share or unit. The
 windowed frames go into the first `window` columns of a buffer whose pad

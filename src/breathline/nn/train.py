@@ -42,16 +42,16 @@ def bce_loss(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]
 
 def make_training_chunks(
     items: list[tuple[np.ndarray, np.ndarray]], chunk_frames: int, frames_per_step: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Cut (features, frame_labels) pairs into full-length chunks.
 
     Each file contributes its consecutive whole chunks of `chunk_frames`
-    frames; a trailing partial chunk is dropped. Targets are the
-    majority-pooled step labels for each chunk.
+    frames; a trailing partial chunk is dropped. The chunks are views of
+    the items' features. Targets are the majority-pooled step labels.
     """
     xs, ys = [], []
     for features, frame_labels in items:
-        features = np.asarray(features)  # float32 stays float32; `forward` casts each batch
+        features = np.asarray(features)
         labels = np.asarray(frame_labels, dtype=bool)
         if features.shape[0] != labels.shape[0]:
             raise TrainingError(
@@ -62,7 +62,7 @@ def make_training_chunks(
             ys.append(steps_from_frames(labels[start : start + chunk_frames], frames_per_step))
     if not xs:
         raise TrainingError(f"no file is long enough for a {chunk_frames}-frame chunk")
-    return np.stack(xs), np.stack(ys).astype(np.float64)
+    return xs, np.stack(ys).astype(np.float64)
 
 
 def train(
@@ -80,7 +80,7 @@ def train(
         total, count = 0.0, 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            probs = model.forward(x[batch], training=True, rng=rng)
+            probs = model.forward(np.stack([x[i] for i in batch], dtype=np.float64), training=True, rng=rng)
             loss, grad = bce_loss(probs, y[batch])
             if not np.isfinite(loss):
                 raise TrainingError(f"loss became non-finite at step {count}")

@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from breathline.annotations import BreathIntervalSet
-from breathline.audio_io import AudioBuffer, write_wav
+from breathline.audio_io import AudioBuffer, load_wav, resample, write_wav
 from breathline.breath_stats import compute_stats
 from breathline.errors import BreathlineError, ConfigError, FormatError, InputError, TrainingError, ValidationError
-from breathline import evaluation, features, postprocess
+from breathline import audio_io, cli, evaluation, features, postprocess
 from breathline.evaluation import (
     ExperimentResult,
     SplitPlan,
@@ -487,14 +487,16 @@ def mixed_manifest(tmp_path_factory):
 
 
 def _reference_detection(model, manifest, config):
-    """Per file: the whole feature matrix, `predict_file` over it, and its
-    intervals clipped to the audio, as detection was before it ran in units."""
+    """Per file: the audio read whole and resampled, the whole feature
+    matrix, `predict_file` over it, and its intervals clipped to the
+    audio, as detection was before it ran in units."""
     rows, probabilities = {}, {}
     for entry in load_manifest(manifest):
         try:
-            audio = evaluation._canonical_audio(manifest.parent / entry.source)
+            audio = load_wav(manifest.parent / entry.source)
         except FormatError:
             continue
+        audio = resample(audio, 16000)
         probs = model.predict_file(extract_features(audio, model.config.features).data)
         raw = slices_to_intervals(probs, config)
         clipped = [(s, min(e, audio.duration_ms)) for s, e in raw if s < audio.duration_ms]
@@ -611,7 +613,7 @@ def test_a_streamed_file_that_fails_leaves_no_row_thread_or_descriptor(tmp_path,
     and its later pieces are skipped. Each failure is its earliest failing
     task's at any thread count, also when a later piece fails first, the
     good file still gets its row, and every file is closed."""
-    real_open, real_piece, pieces_run, opened = evaluation.open_wav, DetectionJob.run_piece, [], []
+    real_open, real_piece, pieces_run, opened = audio_io.open_wav, DetectionJob.run_piece, [], []
 
     def open_then_cut(path):
         source = real_open(path)
@@ -627,7 +629,7 @@ def test_a_streamed_file_that_fails_leaves_no_row_thread_or_descriptor(tmp_path,
             time.sleep(0.2)  # the fourth piece fails first, on the other thread
         real_piece(job, index)
 
-    monkeypatch.setattr(evaluation, "open_wav", open_then_cut)
+    monkeypatch.setattr(audio_io, "open_wav", open_then_cut)
     monkeypatch.setattr(DetectionJob, "run_piece", counted)
     model, results = BreathDetectorModel(ModelConfig()), []
     for cpus in (1, 2):
@@ -671,6 +673,87 @@ def test_streamed_detection_memory_does_not_grow_with_the_recording(tmp_path, mo
             tracemalloc.stop()
         assert len(rows) == 1 and not errors
     assert abs(peaks[2] - peaks[1]) < 2**20
+
+
+def test_training_load_memory_does_not_grow_with_the_recording(tmp_path, monkeypatch):
+    """`load_frame_corpus` reads a 16 kHz file span by span: between 2 and
+    8 minutes only the float32 features grow, where the float64 samples
+    read whole grew by 44 MiB."""
+    monkeypatch.setattr(features, "usable_cpus", lambda: 2)  # two shares read the file side by side
+    extra = []
+    for minutes in (0.25, 2, 8):  # the first builds the cached window and filterbank
+        directory = tmp_path / f"m{minutes}"
+        directory.mkdir()
+        _write_float32_wav(directory / "a.wav", minutes, seed=4)
+        (directory / "a.tsv").write_text("1.000000\t1.400000\tbreath\n")
+        save_manifest(directory / "manifest.csv", [ManifestEntry("a", "a.wav", "real", "show", annotation_path="a.tsv")])
+        tracemalloc.start()
+        try:
+            items = evaluation.load_frame_corpus(directory / "manifest.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert items[0].features.dtype == np.float32 and len(items[0].features) == int(minutes * 60 * 400)
+        assert items[0].frame_labels.sum() > 0
+        extra.append(peak - items[0].features.nbytes)
+    assert abs(extra[2] - extra[1]) < 2**20, extra
+
+
+def _write_wav_header_only(path, sample_rate: int, claimed: int) -> None:
+    """A mono float32 WAV header whose data chunk claims `claimed` samples, with none after it."""
+    fmt = struct.pack("<HHIIHH", 3, 1, sample_rate, 4 * sample_rate, 4, 32)
+    with open(path, "wb") as f:
+        f.write(b"RIFF" + struct.pack("<I", 36 + 4 * claimed) + b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt)
+        f.write(b"data" + struct.pack("<I", 4 * claimed))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in procfs")
+@pytest.mark.parametrize("bad", ["header", "nan", "cut", "cd"])
+def test_every_failing_training_load_closes_its_file(tmp_path, monkeypatch, capsys, bad):
+    """A good file, then one that fails: a 16 kHz WAV truncated after its
+    header, a float32 WAV with a NaN in its last block, a 16 kHz file and a
+    44.1 kHz file each cut short once opened (the first fails while its
+    feature shares read it, the second while it is read whole).
+    `load_frame_corpus` raises a BreathlineError, `train-breath` exits 1
+    with one line and no traceback, and no descriptor is left open."""
+    real_open, opened = audio_io.open_wav, []
+
+    def open_then_cut(path):
+        source = real_open(path)
+        opened.append(source)  # held here, so only `close` gives its descriptor back
+        if os.path.basename(path) in ("cut.wav", "cd.wav"):
+            os.truncate(path, 44 + 2 * 16000)  # past the header, well short of the 3 s payload
+        return source
+
+    def write_bad() -> None:
+        if bad == "header":
+            _write_wav_header_only(tmp_path / "header.wav", 16000, 16000)
+        elif bad == "nan":
+            _write_float32_wav(tmp_path / "nan.wav", 3 / 60, seed=2, nan_at=3 * 16000 - 5)
+        else:
+            rate = 16000 if bad == "cut" else 44100
+            buffer, _ = synthesize_one(SynthesisConfig(duration_ms=3000.0, rng_seed=7, sample_rate=rate))
+            write_wav(tmp_path / f"{bad}.wav", buffer, encoding="float32" if bad == "cut" else "pcm16")
+
+    monkeypatch.setattr(audio_io, "open_wav", open_then_cut)
+    _write_float32_wav(tmp_path / "good.wav", 3 / 60, seed=1)
+    for name in ("good", bad):
+        (tmp_path / f"{name}.tsv").write_text("0.500000\t0.900000\tbreath\n")
+    entries = [ManifestEntry(name, f"{name}.wav", "real", "show", annotation_path=f"{name}.tsv") for name in ("good", bad)]
+    save_manifest(tmp_path / "manifest.csv", entries)
+    descriptors = _open_descriptors()
+    write_bad()
+    with pytest.raises(BreathlineError, match=f"{bad}.wav"):
+        evaluation.load_frame_corpus(tmp_path / "manifest.csv")
+    assert _open_descriptors() == descriptors
+    write_bad()
+    capsys.readouterr()
+    argv = ["train-breath", "--manifest", str(tmp_path / "manifest.csv"), "--out", str(tmp_path / "out"), "--epochs", "1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and f"{bad}.wav" in err and "Traceback" not in err
+    assert _open_descriptors() == descriptors
+    assert len(opened) == (4 if bad in ("cut", "cd") else 2)  # a failing open holds no source
 
 
 def test_parse_experiment_config(tmp_path):

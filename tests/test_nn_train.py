@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,10 @@ import pytest
 from oracles import LoopBiLSTM, TwoPassBatchNorm, WindowMaxPool, central_difference, enum_auprc
 
 import breathline
+from breathline import evaluation
 from breathline.errors import ConfigError, TrainingError
+from breathline.evaluation import CorpusItem
+from breathline.evaluation import test1_contiguous_kfold as contiguous_kfold
 from breathline.nn.layers import BN_EPS, BN_MOMENTUM, BatchNorm1D, MaxPool1D
 from breathline.nn.model import BreathDetectorModel, ModelConfig
 from breathline.nn.recurrent import BiLSTM
@@ -56,7 +60,10 @@ def test_chunking_drops_trailing_partial():
         (rng.normal(size=(39, 6)), np.zeros(39, dtype=bool)),  # too short, contributes none
     ]
     x, y = make_training_chunks(items, 40, 20)
-    assert x.shape == (2, 40, 6)
+    assert len(x) == 2 and all(chunk.shape == (40, 6) for chunk in x)
+    # views of the first item's first two chunks, not copies of them
+    for chunk, start in zip(x, (0, 40)):
+        assert np.shares_memory(chunk, items[0][0]) and np.array_equal(chunk, items[0][0][start : start + 40])
     assert y.shape == (2, 2)
 
 
@@ -69,8 +76,9 @@ def test_chunk_targets_are_majority_pooled():
 
 def test_chunking_keeps_float32_features():
     rng = np.random.default_rng(6)
-    x, _ = make_training_chunks([(rng.normal(size=(80, 6)).astype(np.float32), np.zeros(80, dtype=bool))], 40, 20)
-    assert x.dtype == np.float32
+    features = rng.normal(size=(80, 6)).astype(np.float32)
+    x, _ = make_training_chunks([(features, np.zeros(80, dtype=bool))], 40, 20)
+    assert len(x) == 2 and all(chunk.dtype == np.float32 and np.shares_memory(chunk, features) for chunk in x)
 
 
 def test_training_on_float32_equals_training_on_its_float64_values():
@@ -164,6 +172,42 @@ def test_training_with_the_oracle_layers_gives_the_same_model():
             assert np.array_equal(layer.running_mean, want.running_mean), name
             assert np.array_equal(layer.running_var, want.running_var), name
     assert np.array_equal(models[0].predict_file(items[0][0]), oracle.predict_file(items[0][0]))
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_copies_no_corpus(monkeypatch):
+    """The default detector trains at batch 8 on 64 float32 chunks (26 MB
+    of features) straight from views of them: its peak stays within a
+    quarter of the corpus of the peak of training on two batches (a batch
+    is gathered while the model still holds the one before). So does a
+    test1 fold run inline, whose training spans start inside the items."""
+    rng = np.random.default_rng(13)
+    config = ModelConfig(seed=1)
+    chunk = config.chunk_frames
+    items = []
+    for _ in range(4):
+        labels = np.repeat(rng.random(16 * chunk // 40) < 0.3, 40)
+        items.append(((rng.normal(size=(16 * chunk, 130)) + labels[:, None]).astype(np.float32), labels))
+    corpus_bytes = sum(features.nbytes for features, _ in items)
+    x, _ = make_training_chunks(items, chunk, config.frames_per_step)
+    assert len(x) == 64 and all(np.shares_memory(c, items[k // 16][0]) for k, c in enumerate(x))
+    train_config = TrainConfig(epochs=1, batch_size=8, seed=2)
+    two_batches = [(items[0][0][: 16 * chunk], items[0][1][: 16 * chunk])]
+    batch_peak = _traced_peak(lambda: train(BreathDetectorModel(config), two_batches, train_config))
+    peak = _traced_peak(lambda: train(BreathDetectorModel(config), items, train_config))
+    assert peak < corpus_bytes / 4 + batch_peak, (peak, batch_peak, corpus_bytes)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 1)
+    corpus = [CorpusItem(str(i), features, labels) for i, (features, labels) in enumerate(items)]
+    peak = _traced_peak(lambda: contiguous_kfold(corpus, config, train_config, iterations=1, seed=3))
+    assert peak < corpus_bytes / 4 + batch_peak, (peak, batch_peak, corpus_bytes)
 
 
 def test_training_accepts_single_class_targets():
