@@ -7,10 +7,11 @@ math runs in float64; the stored rows are float32.
 
 `fill_feature_rows` computes any span of frames in blocks of
 `BLOCK_FRAMES`, calling `mel_spectrogram_db`, `zcr` and `rmse_db` by
-name, with one `_MelScratch`: about 1.8 MiB at the defaults, plus the
-1 MiB complex spectrum the FFT returns per block. Each block's samples
-come from `read(lo, hi)` of its audio: a slice of an `AudioBuffer`, or
-just those samples read from an open WAV file (`audio_io.WavSource`), so
+name, with one `_MelScratch` (2.8 MiB at the defaults, the FFT's complex
+spectrum included); `zcr` and `rmse_db` take a sample's sign and square
+once, not once per frame that overlaps it. Each block's samples come
+from `read(lo, hi)` of its audio: a slice of an `AudioBuffer`, or just
+those samples read from an open WAV file (`audio_io.WavSource`), so
 neither detection nor training reads a 16 kHz file whole. Detection runs
 it on one piece of a `predict_file` batch's frames at a time
 (`postprocess.DetectionJob`). `extract_features`, for training and the
@@ -45,7 +46,7 @@ POWER_EPS = 1e-10
 AMP_EPS = 1e-5
 
 # frames per feature block: few enough that one block's buffers (about
-# 2.8 MiB at the defaults) stay near the size of a core's L2 cache (2 MiB
+# 3 MiB at the defaults) stay near the size of a core's L2 cache (2 MiB
 # on the Xeon measured); with blocks of 800 frames `detect` on a 5-minute
 # file took about 10% longer there
 BLOCK_FRAMES = 256
@@ -114,27 +115,34 @@ class FeatureMatrix:
         return self.data.shape[0]
 
 
-def _frames(span: np.ndarray, window: int, hop: int, count: int) -> np.ndarray:
+def _frames(samples: np.ndarray, window: int, hop: int, count: int) -> np.ndarray:
     """`count` frames of `window` samples every `hop` samples from the start
-    of `span`, shape (count, window): a view of `span` where it covers every
-    frame, else of a zero-padded copy of it."""
+    of `samples`, shape (count, window): a read-only view of `samples` where
+    it covers every frame, else of a zero-padded copy of it."""
     needed = (count - 1) * hop + window
-    if len(span) < needed:
-        span = np.concatenate([span, np.zeros(needed - len(span))])
-    return np.lib.stride_tricks.sliding_window_view(span, window)[::hop]
+    if len(samples) < needed:
+        samples = np.concatenate([samples, np.zeros(needed - len(samples))])
+    step = samples.strides[0]
+    return np.lib.stride_tricks.as_strided(samples, (count, window), (hop * step, step), writeable=False)
 
 
-def zcr(frames: np.ndarray) -> np.ndarray:
-    """Zero-crossing rate per frame: sign changes / (window - 1), with
-    sign(0) treated as positive."""
-    positive = frames >= 0
-    changes = np.count_nonzero(positive[:, 1:] != positive[:, :-1], axis=1)
-    return changes / (frames.shape[1] - 1)
+def zcr(samples: np.ndarray, window: int, hop: int, count: int) -> np.ndarray:
+    """Zero-crossing rate of each of `_frames(samples, ...)`: sign changes /
+    (window - 1), sign(0) counted positive. A frame's changes are the exact
+    difference of two running counts over the samples' sign tests."""
+    positive = np.ones((count - 1) * hop + window, dtype=bool)  # the zero padding is positive
+    np.greater_equal(samples[: len(positive)], 0.0, out=positive[: len(samples)])
+    crossings = np.zeros(len(positive), dtype=np.intp)  # crossings[i]: changes before sample i
+    np.not_equal(positive[1:], positive[:-1], out=crossings[1:])
+    np.cumsum(crossings[1:], out=crossings[1:])
+    return (crossings[window - 1 :: hop] - crossings[::hop][:count]) / (window - 1)
 
 
-def rmse_db(frames: np.ndarray) -> np.ndarray:
-    """Root-mean-square energy per frame in dB, floored at -100 dB."""
-    rms = np.sqrt(np.mean(frames**2, axis=1))
+def rmse_db(samples: np.ndarray, window: int, hop: int, count: int) -> np.ndarray:
+    """Root-mean-square energy in dB of each of `_frames(samples, ...)`,
+    floored at -100 dB: numpy's pairwise mean over the frames of the
+    squared samples, the sum it takes over a row of `frames**2`."""
+    rms = np.sqrt(np.mean(_frames(np.square(samples), window, hop, count), axis=1))
     return 20.0 * np.log10(np.maximum(rms, AMP_EPS))
 
 
@@ -166,13 +174,6 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     rising = (bin_freqs - lower) / np.maximum(center - lower, 1e-30)
     falling = (upper - bin_freqs) / np.maximum(upper - center, 1e-30)
     return np.maximum(0.0, np.minimum(rising, falling))
-
-
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
 
 
 # the cached arrays are shared by every caller, so they are read-only
@@ -214,17 +215,18 @@ def _filter_bands(n_mels: int, fft_size: int, sample_rate: int) -> tuple:
 class _MelScratch:
     """Buffers for the mel spectrogram of up to `rows` frames of `window`
     samples: the windowed frames zero-padded to the FFT size (the pad
-    columns are zeroed once and never written), their power spectrum and
-    their mel power."""
+    columns are zeroed once and never written), their complex and power
+    spectra and their mel power."""
 
     def __init__(self, rows: int, window: int, n_mels: int, sample_rate: int):
         rows = max(rows, 2)  # see mel_db
         self.window = window
-        fft_size = _next_pow2(window)
+        fft_size = 1 << (window - 1).bit_length()  # the next power of two at or above window
         with _CACHE_BUILD:  # a racing thread waits for the cached arrays instead of building its own
             self.hann = _hann(window)
             self.bands = _filter_bands(n_mels, fft_size, sample_rate)
         self.padded = np.zeros((rows, fft_size))
+        self.spectrum = np.empty((rows, fft_size // 2 + 1), dtype=np.complex128)
         self.power = np.empty((rows, fft_size // 2 + 1))
         self.mel = np.empty((rows, n_mels))
 
@@ -238,7 +240,7 @@ class _MelScratch:
         rows = max(n, 2)
         padded, power, mel = self.padded[:rows], self.power[:rows], self.mel[:rows]
         np.multiply(frames, self.hann, out=padded[:n, : self.window])
-        np.abs(np.fft.rfft(padded, axis=1), out=power)
+        np.abs(np.fft.rfft(padded, axis=1, out=self.spectrum[:rows]), out=power)
         power *= power
         for mels, bins, weights in self.bands:
             np.matmul(power[:, bins], weights, out=mel[:, mels])
@@ -278,11 +280,13 @@ def fill_feature_rows(
         scratch = _MelScratch(min(BLOCK_FRAMES, len(out)), window, config.n_mels, buffer.sample_rate)
     for lo in range(start, stop, BLOCK_FRAMES):
         hi = min(lo + BLOCK_FRAMES, stop)
-        block = _frames(buffer.read(lo * hop, (hi - 1) * hop + window), window, hop, hi - lo)
+        framing = (window, hop, hi - lo)
+        samples = buffer.read(lo * hop, (hi - 1) * hop + window)
+        block = _frames(samples, *framing)
         rows = out[lo - start : hi - start]
         rows[:, : config.n_mels] = mel_spectrogram_db(block, config.n_mels, buffer.sample_rate, scratch=scratch)
-        rows[:, config.n_mels] = zcr(block)
-        rows[:, config.n_mels + 1] = rmse_db(block)
+        rows[:, config.n_mels] = zcr(samples, *framing)
+        rows[:, config.n_mels + 1] = rmse_db(samples, *framing)
 
 
 def extract_features(buffer: AudioBuffer | WavSource, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:

@@ -182,12 +182,16 @@ class BreathDetectorModel:
         """Propagate (batch, steps) probability gradients back through the
         most recent training forward and set every parameter gradient; the
         clip is treated as identity. The first conv layer's input gradient,
-        which nothing reads, is not computed."""
+        which nothing reads, is not computed. The training caches are then
+        dropped, but not Dropout's masks, which rng=None reuses."""
         g = np.asarray(grad, dtype=np.float64)[:, :, None]
         (_, first), *rest = self._layers
         for _, layer in reversed(rest):
             g = layer.backward(g)
         first.backward_params(g)
+        for _, layer in self._layers:
+            for name in vars(layer).keys() & {"_cache", "_mask", "_y"}:
+                setattr(layer, name, None)
 
     def predict_file(self, features: np.ndarray) -> np.ndarray:
         """Score a whole file of feature frames.
@@ -210,8 +214,9 @@ class BreathDetectorModel:
         for start in range(0, num_frames, BATCH_CHUNKS * chunk):
             rows = features[start : start + BATCH_CHUNKS * chunk]
             num_chunks = -(-len(rows) // chunk)
-            batch = np.zeros((num_chunks * chunk, dim))
+            batch = np.empty((num_chunks * chunk, dim))
             batch[: len(rows)] = rows
+            batch[len(rows) :] = 0.0
             outputs.append(self.forward(batch.reshape(num_chunks, chunk, dim)))
         steps = -(-num_frames // self.config.frames_per_step)
         return np.concatenate(outputs).reshape(-1)[:steps]

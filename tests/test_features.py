@@ -18,6 +18,7 @@ from breathline.features import (
     BLOCK_FRAMES,
     FeatureConfig,
     extract_features,
+    fill_feature_rows,
     hz_to_mel,
     mel_spectrogram_db,
     mel_to_hz,
@@ -55,13 +56,15 @@ def test_zcr_hand_frames():
             [0.0, -1.0, 1.0, 1.0],  # sign(0) counts as positive
         ]
     )
-    np.testing.assert_allclose(zcr(frames), [1.0, 0.0, 2.0 / 3.0])
+    np.testing.assert_allclose(zcr(frames.ravel(), 4, 4, 3), [1.0, 0.0, 2.0 / 3.0])
+    # overlapping frames [1, -1, 1, 1], [1, 1, 0, -1] and the zero-padded [0, -1, 0, 0]
+    np.testing.assert_allclose(zcr(np.array([1.0, -1.0, 1.0, 1.0, 0.0, -1.0]), 4, 2, 3), [2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0])
 
 
 def test_zcr_sine_matches_oracle():
     sine = np.sin(2 * np.pi * 100.0 * np.arange(SR) / SR)
     frames = _frames(sine)
-    got = zcr(frames)
+    got = zcr(sine, 320, 40, len(frames))
     np.testing.assert_allclose(got, naive_zcr(frames), atol=1e-12)
     # the sampled wave hits exact zeros, and sign(0) is positive: the
     # initial full window sees 3 sign changes over 319 pairs
@@ -69,14 +72,56 @@ def test_zcr_sine_matches_oracle():
 
 
 def test_rmse_values():
-    sine = np.sin(2 * np.pi * 100.0 * np.arange(320) / SR)[None, :]  # 2 full cycles
-    np.testing.assert_allclose(rmse_db(sine), 20.0 * np.log10(2.0**-0.5), atol=1e-6)
-    np.testing.assert_allclose(rmse_db(np.zeros((1, 320))), -100.0)
+    sine = np.sin(2 * np.pi * 100.0 * np.arange(320) / SR)  # 2 full cycles
+    np.testing.assert_allclose(rmse_db(sine, 320, 40, 1), 20.0 * np.log10(2.0**-0.5), atol=1e-6)
+    np.testing.assert_allclose(rmse_db(np.zeros(320), 320, 40, 1), -100.0)
     # amplitudes below the 1e-5 floor clamp to -100 dB
-    np.testing.assert_allclose(rmse_db(np.full((1, 320), 1e-8)), -100.0)
+    np.testing.assert_allclose(rmse_db(np.full(320, 1e-8), 320, 40, 1), -100.0)
     rng = np.random.default_rng(0)
     frames = rng.normal(0, 0.1, (30, 320))
-    np.testing.assert_allclose(rmse_db(frames), naive_rmse_db(frames), atol=1e-10)
+    np.testing.assert_allclose(rmse_db(frames.ravel(), 320, 320, 30), naive_rmse_db(frames), atol=1e-10)
+    x = rng.normal(0, 0.1, 30 * 40)  # overlapping frames, the last 7 zero-padded
+    np.testing.assert_allclose(rmse_db(x, 320, 40, 30), naive_rmse_db(_frames(x)), atol=1e-10)
+
+
+def _padded_frames(x, window, hop, count):
+    """Frame t is x[t*hop : t*hop + window], zero-padded past the end of x."""
+    padded = np.concatenate([x, np.zeros(max(0, (count - 1) * hop + window - len(x)))])
+    return np.array([padded[t * hop : t * hop + window] for t in range(count)])
+
+
+# signals for the per-sample kernels: ordinary, all zeros, signed zeros
+# only, and denormals mixed with signed zeros
+KERNEL_SIGNALS = {
+    "normal": lambda rng, n: rng.normal(0, 0.1, n),
+    "zeros": lambda rng, n: np.zeros(n),
+    "signed zeros": lambda rng, n: rng.choice([0.0, -0.0], n),
+    "denormal": lambda rng, n: rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, 0.1], n),
+}
+
+
+@given(
+    window=st.integers(2, 1024),
+    hop_share=st.floats(0.0, 1.0),
+    count=st.integers(1, 300),
+    cut=st.one_of(st.just(0), st.integers(1, 2048)),  # samples missing from the last frames
+    kind=st.sampled_from(sorted(KERNEL_SIGNALS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_per_sample_kernels_equal_the_frame_definitions(window, hop_share, count, cut, kind, seed):
+    """zcr and rmse_db of a span equal, byte for byte, the frame formulas
+    on its zero-padded frames: the sign changes of `frames >= 0` over
+    window - 1, and the dB of the root of each row's mean of squares."""
+    hop = 1 + round(hop_share * (window - 1))
+    needed = (count - 1) * hop + window
+    x = KERNEL_SIGNALS[kind](np.random.default_rng(seed), max(0, needed - cut))
+    frames = _padded_frames(x, window, hop, count)
+    positive = frames >= 0
+    want_zcr = np.count_nonzero(positive[:, 1:] != positive[:, :-1], axis=1) / (window - 1)
+    want_rmse = 20 * np.log10(np.maximum(np.sqrt(np.mean(frames**2, axis=1)), features.AMP_EPS))
+    assert zcr(x, window, hop, count).tobytes() == want_zcr.tobytes()
+    assert rmse_db(x, window, hop, count).tobytes() == want_rmse.tobytes()
 
 
 def test_zero_signal_feature_floor():
@@ -189,7 +234,10 @@ def test_blockwise_features_equal_whole_frame_composition(length, seed):
     x = np.clip(np.random.default_rng(seed).normal(0, 0.1, length), -1, 1)
     got = extract_features(AudioBuffer(x, SR)).data
     frames = _frames(x, WINDOW, HOP)  # the tail frames are zero-padded
-    want = np.column_stack([mel_spectrogram_db(frames, 128, SR), zcr(frames), rmse_db(frames)]).astype(np.float32)
+    count = len(frames)
+    want = np.column_stack(
+        [mel_spectrogram_db(frames, 128, SR), zcr(x, WINDOW, HOP, count), rmse_db(x, WINDOW, HOP, count)]
+    ).astype(np.float32)
     assert got.shape == want.shape == (length // HOP, 130)
     assert got.tobytes() == want.tobytes()
 
@@ -286,13 +334,14 @@ def _extraction_peak_above_output(x) -> float:
 
 def test_extraction_memory_is_output_plus_a_block(monkeypatch):
     """5 min of audio on one share: besides the float32 output, extraction
-    holds one share's buffers, 1.75 MiB (256 rows of 512 padded window
-    columns, 257 power bins and 128 mel bands), one block's 1 MiB complex
-    spectrum, and the ZCR and RMSE temporaries of one block. Measured
-    output + 2.8 MiB; the bound is that plus 2 MiB. The whole frames are
-    views of the samples, so there is no whole-file spectrum (about 100 MB
-    per audio-minute) and no zero-padded copy of the signal (about 7.7 MB
-    per audio-minute)."""
+    holds one share's scratch, 2.75 MiB (256 rows of 512 padded window
+    columns, 257 complex spectrum bins, 257 power bins and 128 mel bands),
+    and one block's temporaries, about 0.27 MiB (measured alone in
+    `test_a_block_allocates_nothing_beyond_its_scratch`). Measured output
+    + 3.0 MiB; the bound is output + 4.8 MiB. The whole frames are views
+    of the samples, so there is no whole-file spectrum (about 100 MB per
+    audio-minute) and no zero-padded copy of the signal (about 7.7 MB per
+    audio-minute)."""
     monkeypatch.setattr(features, "usable_cpus", lambda: 1)
     x = np.random.default_rng(6).normal(0, 0.1, 5 * 60 * SR)
     assert _extraction_peak_above_output(x) <= 2.8 + 2.0
@@ -300,14 +349,37 @@ def test_extraction_memory_is_output_plus_a_block(monkeypatch):
 
 def test_extraction_memory_at_two_shares_is_output_plus_two_shares(monkeypatch):
     """The same 5 minutes on two shares: each share holds the working set
-    measured above, 2.8 MiB (its own 1.75 MiB of padded, power and mel
-    buffers, one block's 1 MiB complex spectrum, and one block's ZCR and
-    RMSE temporaries), so the bound is output + 2 x 2.8 MiB + 2 MiB.
+    measured above, about 3.0 MiB (its own 2.75 MiB scratch of padded,
+    spectrum, power and mel buffers, and one block's temporaries); measured
+    output + 5.9 MiB, and the bound is output + 2 x 2.8 MiB + 2 MiB.
     Nothing grows with the recording's length or with the share count
     beyond one working set per share."""
     monkeypatch.setattr(features, "usable_cpus", lambda: 2)
     x = np.random.default_rng(6).normal(0, 0.1, 5 * 60 * SR)
     assert _extraction_peak_above_output(x) <= 2 * 2.8 + 2.0
+
+
+def test_a_block_allocates_nothing_beyond_its_scratch():
+    """fill_feature_rows over 24 blocks with a supplied scratch: the
+    tracemalloc peak above the float32 output stays under 0.5 MiB. The
+    spectrum is written into the scratch, and ZCR and RMSE hold arrays of
+    a block's samples, not of its frames, so what is left is about
+    0.27 MiB: those arrays and the band matmuls' copies of power columns.
+    A block that allocated its 1 MiB spectrum or its 0.65 MiB of squared
+    frames would break the bound."""
+    config = FeatureConfig()
+    frames = 24 * BLOCK_FRAMES
+    buffer = AudioBuffer(np.random.default_rng(3).normal(0, 0.1, frames * HOP + 17), SR)
+    scratch = features._MelScratch(BLOCK_FRAMES, WINDOW, config.n_mels, SR)
+    fill_feature_rows(np.empty((frames, config.dim), np.float32), buffer, config, 0, scratch)  # FFT plans
+    tracemalloc.start()
+    try:
+        out = np.empty((frames, config.dim), np.float32)
+        fill_feature_rows(out, buffer, config, 0, scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - out.nbytes) / 2**20 < 0.5
 
 
 # frame counts for the share tests; each gets a tail of under one hop
@@ -384,10 +456,10 @@ def test_a_failing_share_raises_and_leaves_no_thread(failing, monkeypatch):
     real_zcr = features.zcr
     caller = threading.current_thread()
 
-    def zcr(frames):
+    def zcr(*args):
         if (threading.current_thread() is caller) == (failing == "caller"):
             raise RuntimeError(f"zcr failed on the {failing}")
-        return real_zcr(frames)
+        return real_zcr(*args)
 
     monkeypatch.setattr(features, "zcr", zcr)
     monkeypatch.setattr(features, "usable_cpus", lambda: 2)
@@ -411,5 +483,7 @@ def test_a_few_frames_give_the_rows_of_a_large_block():
         assert mel_spectrogram_db(frames[-r:], 128, SR).tobytes() == whole[-r:].tobytes()
     x = np.clip(rng.normal(0, 0.1, 257 * HOP + 21), -1, 1)
     framed = _frames(x, WINDOW, HOP)
-    want = np.column_stack([mel_spectrogram_db(framed, 128, SR), zcr(framed), rmse_db(framed)]).astype(np.float32)
+    want = np.column_stack(
+        [mel_spectrogram_db(framed, 128, SR), zcr(x, WINDOW, HOP, 257), rmse_db(x, WINDOW, HOP, 257)]
+    ).astype(np.float32)
     assert extract_features(AudioBuffer(x, SR)).data.tobytes() == want.tobytes()

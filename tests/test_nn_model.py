@@ -87,6 +87,26 @@ def test_predict_file_batches_zero_padded_chunks():
     np.testing.assert_array_equal(got, want.reshape(-1)[: len(got)])
 
 
+@pytest.mark.parametrize("num_frames", [1, SMALL.chunk_frames - 1, SMALL.chunk_frames + 1, BATCH_CHUNKS * SMALL.chunk_frames + 1])
+def test_the_padded_last_chunk_is_zeros(num_frames):
+    """predict_file fills its float64 batch with np.empty and zeroes only
+    the padded tail of the last chunk: freed NaN memory of the last batch's
+    size, which the allocator can hand back, never reaches the output."""
+    model = BreathDetectorModel(SMALL)
+    chunk, dim = SMALL.chunk_frames, SMALL.input_dim
+    feats = np.random.default_rng(num_frames).normal(size=(num_frames, dim)).astype(np.float32)
+    num_chunks = -(-num_frames // chunk)
+    padded = np.zeros((num_chunks * chunk, dim))
+    padded[:num_frames] = feats
+    chunks = padded.reshape(num_chunks, chunk, dim)
+    want = np.concatenate([model.forward(chunks[i : i + BATCH_CHUNKS]) for i in range(0, num_chunks, BATCH_CHUNKS)])
+    last = (num_chunks - 1) % BATCH_CHUNKS + 1  # chunks in the last batch
+    dirty = np.full((last * chunk, dim), np.nan)
+    del dirty
+    got = model.predict_file(feats)
+    assert got.tobytes() == want.reshape(-1)[: len(got)].tobytes()
+
+
 def test_forward_input_validation():
     model = BreathDetectorModel(SMALL)
     with pytest.raises(ShapeError):
